@@ -32,7 +32,9 @@ constexpr std::uint16_t kSlotCorner(Corner c) {
 /// Variable-coefficient planes, published once per tile by INIT.
 constexpr std::uint16_t kSlotCoeff = 9;
 
-/// Immutable per-run context shared by all task bodies.
+/// Immutable per-run context shared by all task bodies. The constructor is
+/// also the one place a solve is validated (validate_solve): every check
+/// below runs before any task exists.
 ///
 /// Spec-driven problems run in STAGE UNITS: the compiled program's nstages
 /// radius-1 atomic stages replace each original iteration, so the constructor
@@ -45,21 +47,53 @@ constexpr std::uint16_t kSlotCoeff = 9;
 /// bands are recomputed locally stage by stage — so shipping them would be
 /// pure waste).
 struct Shared {
-  Shared(Problem p, TileMap m, int s, double r, int f)
-      : problem(std::move(p)), map(m), steps(s), ratio(r), fuse(f) {
+  Shared(const Problem& p, const DistConfig& config)
+      : problem(p),
+        map(p.rows, p.cols, config.decomp.mb, config.decomp.nb,
+            config.decomp.node_rows, config.decomp.node_cols),
+        steps(config.steps),
+        ratio(config.kernel_ratio),
+        hook(config.superstep_hook),
+        kernel(config.kernel),
+        tuning(config.tuning) {
+    if (config.key_space > (std::numeric_limits<std::uint32_t>::max() - 1) / 2) {
+      throw std::invalid_argument("key_space out of range");
+    }
+    if (config.persistent && config.key_space >= (1u << 20)) {
+      throw std::invalid_argument(
+          "persistent mode packs key_space into 20 route-id bits");
+    }
+    if (steps < 1) throw std::invalid_argument("steps must be >= 1");
+    const int fuse = config.fuse_depth;
+    if (fuse < 1) throw std::invalid_argument("fuse_depth must be >= 1");
+    if (ratio <= 0.0 || ratio > 1.0) {
+      throw std::invalid_argument("kernel_ratio must be in (0, 1]");
+    }
+    if (fuse > 1 && ratio != 1.0) {
+      throw std::invalid_argument(
+          "fused wavefronts (fuse_depth > 1) require kernel_ratio == 1");
+    }
+    if (problem.shape && problem.coefficient) {
+      throw std::invalid_argument(
+          "shape and variable coefficients are mutually exclusive");
+    }
     if (problem.shape) {
       problem.shape->validate();
       radius = problem.shape->radius;
       box = problem.shape->box;
     }
     if (problem.spec) {
+      if (ratio != 1.0) {
+        throw std::invalid_argument(
+            "spec-driven problems require kernel_ratio == 1");
+      }
       program = std::make_shared<const spec::CompiledProgram>(
           compile_problem_spec(problem));
       nstages = program->nstages;
       nfield = program->nfield;
       radius = 1;  // every atomic stage reads one cell deep
       box = program->diagonal_taps;
-      steps = s * nstages;
+      steps *= nstages;
       problem.iterations *= nstages;
     }
     // Fused wavefronts widen the exchange window: `steps` becomes the full
@@ -68,16 +102,23 @@ struct Shared {
     // one exchange per window. hook_period keeps the ORIGINAL superstep
     // cadence, so checkpoints/snapshots stay every config.steps iterations
     // regardless of fusing (fuse-ready tile cores are consistent at every
-    // stage boundary; the Temporal path only surfaces window boundaries).
+    // stage boundary).
     hook_period = steps;
     steps *= fuse;
+    fuse_ready = fuse > 1;
+    // Spec runs compare against ca_ghost_depth: steps here is already in
+    // stage units (config.steps * nstages) and radius is 1.
+    if (radius * steps > map.min_tile_extent()) {
+      throw std::invalid_argument(
+          "radius * steps exceeds the smallest tile extent (" +
+          std::to_string(map.min_tile_extent()) + ")");
+    }
   }
 
   Problem problem;
   TileMap map;
   int steps;
   double ratio;
-  int fuse = 1;         ///< supersteps fused per wavefront window
   int hook_period = 1;  ///< superstep-hook cadence in stage units
   int radius = 1;    ///< stencil reach (1 for the paper's 5-point case)
   bool box = false;  ///< box-shaped stencil (reads diagonals every step)
@@ -88,14 +129,10 @@ struct Shared {
   SuperstepHook hook;  ///< superstep-boundary snapshot callback (may be empty)
   KernelVariant kernel = KernelVariant::Scalar;
   KernelTuning tuning{};
-  /// Temporal variant: one fused task per tile per superstep.
-  bool fused = false;
-  /// Per-step graph emitted in fuse-ready shape (fuse > 1, non-Temporal):
-  /// deep bands on EVERY neighbor side, cross-tile edges only at window
-  /// boundaries — the precondition for rt::fuse_supersteps.
+  /// Per-step graph emitted in fuse-ready shape (fuse > 1): deep bands on
+  /// EVERY neighbor side, cross-tile edges only at window boundaries — the
+  /// precondition for rt::fuse_supersteps.
   bool fuse_ready = false;
-  /// All-neighbor-deep halo layout (Temporal tasks or fuse-ready graphs).
-  bool deep_all() const { return fused || fuse_ready; }
   std::atomic<long long> computed_points{0};
 };
 
@@ -108,10 +145,9 @@ struct TileInfo {
   bool side_remote[4] = {};
   bool side_local[4] = {};
   /// Deep (radius*steps) ghost band on this side, refreshed by packed bands
-  /// at superstep starts. Classic: the remote sides. All-deep (Temporal
-  /// tasks or fuse-ready graphs): every side with a neighbor — there is no
-  /// per-inner-step local exchange inside a fused window, so local
-  /// neighbors need deep bands too.
+  /// at superstep starts. Classic: the remote sides. Fuse-ready graphs:
+  /// every side with a neighbor — there is no per-inner-step local exchange
+  /// inside a fused window, so local neighbors need deep bands too.
   bool side_deep[4] = {};
   /// This tile consumes a corner block from the diagonal neighbor at Corner c.
   bool corner_in[4] = {};
@@ -152,7 +188,7 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
     if (deep_all) {
       // Fused windows redundantly compute into every neighbor-facing band,
       // so every existing diagonal must supply its corner block (steps > 1;
-      // a 1-step fused task only reads the one-deep cross halo — unless the
+      // a 1-step window only reads the one-deep cross halo — unless the
       // stencil is box-shaped and reads diagonals every step).
       info.corner_in[static_cast<int>(c)] = diag_exists && (steps > 1 || box);
       info.corner_local[static_cast<int>(c)] = false;
@@ -227,74 +263,18 @@ int task_priority(bool boundary, const PackPlan& plan) {
 class Builder {
  public:
   Builder(const Problem& problem, const DistConfig& config)
-      : shared_(std::make_shared<Shared>(
-            problem,
-            TileMap(problem.rows, problem.cols, config.decomp.mb,
-                    config.decomp.nb, config.decomp.node_rows,
-                    config.decomp.node_cols),
-            config.steps, config.kernel_ratio, config.fuse_depth)),
+      : shared_(std::make_shared<Shared>(problem, config)),
         type_base_(config.key_space * 2),
         key_space_(config.key_space),
         priority_bias_(config.priority_bias),
         lane_(config.lane),
         persistent_(config.persistent) {
-    if (config.key_space > (std::numeric_limits<std::uint32_t>::max() - 1) / 2) {
-      throw std::invalid_argument("key_space out of range");
-    }
-    if (persistent_ && config.key_space >= (1u << 20)) {
-      throw std::invalid_argument(
-          "persistent mode packs key_space into 20 route-id bits");
-    }
-    shared_->hook = config.superstep_hook;
-    shared_->kernel = config.kernel;
-    shared_->tuning = config.tuning;
-    shared_->fused = config.kernel == KernelVariant::Temporal;
-    shared_->fuse_ready = config.fuse_depth > 1 && !shared_->fused;
-    if (config.steps < 1) {
-      throw std::invalid_argument("steps must be >= 1");
-    }
-    if (config.fuse_depth < 1) {
-      throw std::invalid_argument("fuse_depth must be >= 1");
-    }
-    if (config.fuse_depth > 1 && config.kernel_ratio != 1.0) {
-      throw std::invalid_argument(
-          "fused wavefronts (fuse_depth > 1) require kernel_ratio == 1");
-    }
-    if (shared_->problem.shape && shared_->problem.coefficient) {
-      throw std::invalid_argument(
-          "shape and variable coefficients are mutually exclusive");
-    }
-    if (shared_->fused &&
-        (shared_->problem.shape || shared_->problem.coefficient ||
-         shared_->program)) {
-      throw std::invalid_argument(
-          "the temporal kernel variant supports only the plain "
-          "constant-coefficient 5-point stencil");
-    }
-    if (shared_->fused && config.kernel_ratio != 1.0) {
-      throw std::invalid_argument(
-          "the temporal kernel variant requires kernel_ratio == 1");
-    }
-    if (shared_->program && config.kernel_ratio != 1.0) {
-      throw std::invalid_argument(
-          "spec-driven problems require kernel_ratio == 1");
-    }
-    // Spec runs compare against ca_ghost_depth: steps here is already in
-    // stage units (config.steps * nstages) and radius is 1.
-    if (shared_->radius * shared_->steps > shared_->map.min_tile_extent()) {
-      throw std::invalid_argument(
-          "radius * steps exceeds the smallest tile extent (" +
-          std::to_string(shared_->map.min_tile_extent()) + ")");
-    }
-    if (config.kernel_ratio <= 0.0 || config.kernel_ratio > 1.0) {
-      throw std::invalid_argument("kernel_ratio must be in (0, 1]");
-    }
     const TileMap& map = shared_->map;
     tiles_.reserve(static_cast<std::size_t>(map.tiles_r()) * map.tiles_c());
     for (int ti = 0; ti < map.tiles_r(); ++ti) {
       for (int tj = 0; tj < map.tiles_c(); ++tj) {
         tiles_.push_back(make_tile_info(map, shared_->steps, shared_->radius,
-                                        shared_->box, shared_->deep_all(), ti,
+                                        shared_->box, shared_->fuse_ready, ti,
                                         tj));
       }
     }
@@ -310,21 +290,12 @@ class Builder {
   void build(rt::TaskGraph& graph) {
     const TileMap& map = shared_->map;
     const int iters = shared_->problem.iterations;
-    const int steps = shared_->steps;
 
     for (int ti = 0; ti < map.tiles_r(); ++ti) {
       for (int tj = 0; tj < map.tiles_c(); ++tj) {
         graph.add_task(make_init_task(tile(ti, tj)));
-        if (shared_->fused) {
-          // One task per superstep, keyed by its ending iteration so that
-          // state_key(boundary) names the same task in both graph shapes.
-          for (int k_start = 1; k_start <= iters; k_start += steps) {
-            graph.add_task(make_fused_step_task(tile(ti, tj), k_start));
-          }
-        } else {
-          for (int k = 1; k <= iters; ++k) {
-            graph.add_task(make_step_task(tile(ti, tj), k));
-          }
+        for (int k = 1; k <= iters; ++k) {
+          graph.add_task(make_step_task(tile(ti, tj), k));
         }
       }
     }
@@ -410,8 +381,7 @@ class Builder {
 
   /// Publish state + any planned bands/corners from the freshly computed
   /// extended buffer. `nplanes` is the plane count exchanged remotely (the
-  /// spec path's nfield; 1 on the classic paths, where the _planes variants
-  /// reduce to the single-plane pack functions byte-for-byte).
+  /// spec path's nfield; 1 on the classic paths).
   static void publish_all(rt::TaskContext& ctx, const TileInfo& info,
                           const PackPlan& plan, int depth,
                           std::vector<double>&& ext, int nplanes) {
@@ -425,10 +395,10 @@ class Builder {
       if (plan.bands[static_cast<int>(s)]) {
         const auto slot = kSlotBand(s);
         if (auto buf = ctx.acquire_route_buffer(slot)) {
-          pack_band_planes_into(buf->data(), ext.data(), g, s, depth, nplanes);
+          pack_band_into(buf->data(), ext.data(), g, s, depth, nplanes);
           ctx.publish_fragments(slot, std::move(buf));
         } else {
-          ctx.publish(slot, pack_band_planes(ext.data(), g, s, depth, nplanes));
+          ctx.publish(slot, pack_band(ext.data(), g, s, depth, nplanes));
         }
       }
     }
@@ -436,12 +406,10 @@ class Builder {
       if (plan.corners[static_cast<int>(c)]) {
         const auto slot = kSlotCorner(c);
         if (auto buf = ctx.acquire_route_buffer(slot)) {
-          pack_corner_planes_into(buf->data(), ext.data(), g, c, depth,
-                                  nplanes);
+          pack_corner_into(buf->data(), ext.data(), g, c, depth, nplanes);
           ctx.publish_fragments(slot, std::move(buf));
         } else {
-          ctx.publish(slot,
-                      pack_corner_planes(ext.data(), g, c, depth, nplanes));
+          ctx.publish(slot, pack_corner(ext.data(), g, c, depth, nplanes));
         }
       }
     }
@@ -620,17 +588,15 @@ class Builder {
       for (Side s : kAllSides) {
         if (!tile_info.side_local[static_cast<int>(s)]) continue;
         const TileInfo nbr = make_nbr_info(*shared, tile_info, s);
-        copy_local_line_planes(assembled.data(), g, s,
-                               ctx.input(next_input).data(), nbr.geom, radius,
-                               ncomp);
+        copy_local_line(assembled.data(), g, s, ctx.input(next_input).data(),
+                        nbr.geom, radius, ncomp);
         ++next_input;
       }
       for (Corner c : kAllCorners) {
         if (!tile_info.corner_local[static_cast<int>(c)]) continue;
         const TileInfo diag = make_diag_info(*shared, tile_info, c);
-        copy_local_corner_planes(assembled.data(), g, c,
-                                 ctx.input(next_input).data(), diag.geom,
-                                 ncomp);
+        copy_local_corner(assembled.data(), g, c, ctx.input(next_input).data(),
+                          diag.geom, ncomp);
         ++next_input;
       }
 
@@ -641,14 +607,14 @@ class Builder {
       if (start) {
         for (Side s : kAllSides) {
           if (!tile_info.side_deep[static_cast<int>(s)]) continue;
-          unpack_band_planes(assembled.data(), g, s, ctx.input(next_input),
-                             exchange_depth, shared->nfield);
+          unpack_band(assembled.data(), g, s, ctx.input(next_input),
+                      exchange_depth, shared->nfield);
           ++next_input;
         }
         for (Corner c : kAllCorners) {
           if (!tile_info.corner_in[static_cast<int>(c)]) continue;
-          unpack_corner_planes(assembled.data(), g, c, ctx.input(next_input),
-                               exchange_depth, shared->nfield);
+          unpack_corner(assembled.data(), g, c, ctx.input(next_input),
+                        exchange_depth, shared->nfield);
           ++next_input;
         }
       }
@@ -711,127 +677,11 @@ class Builder {
     return spec;
   }
 
-  /// One fused CA superstep (Temporal variant): consume the state and
-  /// deep bands/corners published at the previous superstep boundary, then
-  /// advance every inner step of the superstep inside this single task via
-  /// jacobi5_temporal. The task is keyed by its ENDING iteration so that
-  /// state_key(boundary, ti, tj) names the same producer in both graph
-  /// shapes (gather, pack_plan, and neighbor wiring all reuse it).
-  rt::TaskSpec make_fused_step_task(const TileInfo& info, int k_start) {
-    const int iters = shared_->problem.iterations;
-    const int steps = shared_->steps;
-    const int k_end = std::min(k_start + steps - 1, iters);
-    const int m = k_end - k_start + 1;
-
-    rt::TaskSpec spec;
-    spec.key = step_key(k_end, info.ti, info.tj);
-    spec.rank = info.rank;
-    spec.lane = lane_;
-    spec.priority = task_priority(info.boundary, pack_plan(info, k_end)) +
-                    priority_bias_;
-    spec.klass = info.boundary ? "boundary" : "interior";
-    // Same chain id as the per-step shape; position = ending iteration.
-    spec.chain = (static_cast<std::uint64_t>(key_space_) + 1) << 32 |
-                 (static_cast<std::uint64_t>(info.ti) *
-                      static_cast<std::uint64_t>(shared_->map.tiles_c()) +
-                  static_cast<std::uint64_t>(info.tj));
-    spec.chain_step = k_end;
-
-    // Input order: own previous-boundary state; neighbor bands (N,S,W,E);
-    // corner blocks (NW,NE,SW,SE). Body indexes inputs in exactly this order.
-    spec.inputs.push_back({state_key(k_start - 1, info.ti, info.tj),
-                           kSlotState});
-    for (Side s : kAllSides) {
-      if (info.side_deep[static_cast<int>(s)]) {
-        const int pti = info.ti + d_ti(s);
-        const int ptj = info.tj + d_tj(s);
-        rt::FlowRef flow{state_key(k_start - 1, pti, ptj),
-                         kSlotBand(opposite(s))};
-        // Fused tasks exchange bands with local neighbors too; only the
-        // remote ones cross the wire and get a persistent route.
-        if (info.side_remote[static_cast<int>(s)]) {
-          annotate_route(flow, pti, ptj,
-                         band_doubles(tile(pti, ptj).geom, opposite(s)));
-        }
-        spec.inputs.push_back(flow);
-      }
-    }
-    for (Corner c : kAllCorners) {
-      if (info.corner_in[static_cast<int>(c)]) {
-        const int pti = info.ti + d_ti(c);
-        const int ptj = info.tj + d_tj(c);
-        rt::FlowRef flow{state_key(k_start - 1, pti, ptj),
-                         kSlotCorner(opposite(c))};
-        if (shared_->map.neighbor_remote(info.ti, info.tj, d_ti(c), d_tj(c))) {
-          annotate_route(flow, pti, ptj, corner_doubles());
-        }
-        spec.inputs.push_back(flow);
-      }
-    }
-
-    auto shared = shared_;
-    const TileInfo tile_info = info;
-    const PackPlan plan = pack_plan(info, k_end);
-    spec.body = [shared, tile_info, plan, k_end, m](rt::TaskContext& ctx) {
-      const TileGeom& g = tile_info.geom;
-      const int radius = shared->radius;  // always 1 on this path
-      const int depth = radius * shared->steps;
-
-      // 1. Assemble: previous boundary state (core + Dirichlet ring), then
-      //    overwrite every deep ghost band and corner block with the data
-      //    the neighbors packed at the boundary.
-      std::span<const double> prev = ctx.input(0);
-      std::vector<double> assembled(prev.begin(), prev.end());
-      std::size_t next_input = 1;
-      for (Side s : kAllSides) {
-        if (!tile_info.side_deep[static_cast<int>(s)]) continue;
-        unpack_band(assembled.data(), g, s, ctx.input(next_input), depth);
-        ++next_input;
-      }
-      for (Corner c : kAllCorners) {
-        if (!tile_info.corner_in[static_cast<int>(c)]) continue;
-        unpack_corner(assembled.data(), g, c, ctx.input(next_input), depth);
-        ++next_input;
-      }
-
-      // 2. First inner step covers the full redundant band on deep sides;
-      //    jacobi5_temporal shrinks it one layer per step toward the core.
-      //    Non-deep sides sit on the grid edge, against the fixed ring.
-      const std::array<bool, 4> shrink = {
-          tile_info.side_deep[0], tile_info.side_deep[1],
-          tile_info.side_deep[2], tile_info.side_deep[3]};
-      const int r0 = shrink[0] ? -(depth - radius) : 0;
-      const int r1 = g.h + (shrink[1] ? depth - radius : 0);
-      const int c0 = shrink[2] ? -(depth - radius) : 0;
-      const int c1 = g.w + (shrink[3] ? depth - radius : 0);
-
-      std::vector<double> out = assembled;  // ring + unwritten cells persist
-      jacobi5_temporal(assembled.data(), out.data(), g,
-                       shared->problem.weights, r0, r1, c0, c1, m, shrink,
-                       shared->tuning);
-
-      // Same accounting as m non-fused tasks: one shrinking region per step.
-      long long points = 0;
-      for (int t = 0; t < m; ++t) {
-        points += static_cast<long long>((r1 - (shrink[1] ? t : 0)) -
-                                         (r0 + (shrink[0] ? t : 0))) *
-                  ((c1 - (shrink[3] ? t : 0)) - (c0 + (shrink[2] ? t : 0)));
-      }
-      shared->computed_points.fetch_add(points, std::memory_order_relaxed);
-
-      if (shared->hook && k_end % shared->hook_period == 0) {
-        call_hook(*shared, tile_info, k_end, out.data());
-      }
-      publish_all(ctx, tile_info, plan, depth, std::move(out), 1);
-    };
-    return spec;
-  }
-
   /// Geometry of the neighbor on `side` (for local line copies).
   static TileInfo make_nbr_info(const Shared& shared, const TileInfo& info,
                                 Side s) {
     return make_tile_info(shared.map, shared.steps, shared.radius, shared.box,
-                          shared.deep_all(), info.ti + d_ti(s),
+                          shared.fuse_ready, info.ti + d_ti(s),
                           info.tj + d_tj(s));
   }
 
@@ -839,7 +689,7 @@ class Builder {
   static TileInfo make_diag_info(const Shared& shared, const TileInfo& info,
                                  Corner c) {
     return make_tile_info(shared.map, shared.steps, shared.radius, shared.box,
-                          shared.deep_all(), info.ti + d_ti(c),
+                          shared.fuse_ready, info.ti + d_ti(c),
                           info.tj + d_tj(c));
   }
 
@@ -868,17 +718,6 @@ struct SolveSubgraph::Impl {
 };
 
 int SolveSubgraph::nodes() const { return impl_->builder.map().nodes(); }
-
-std::size_t SolveSubgraph::tasks() const {
-  const Shared& shared = *impl_->builder.shared();
-  const TileMap& map = shared.map;
-  const auto tiles = static_cast<std::size_t>(map.tiles_r()) * map.tiles_c();
-  const int iters = shared.problem.iterations;
-  const int steps = shared.steps;
-  const int per_tile =
-      1 + (shared.fused ? (iters + steps - 1) / steps : iters);
-  return tiles * static_cast<std::size_t>(per_tile);
-}
 
 Grid2D SolveSubgraph::gather(const rt::Runtime& runtime) const {
   return gather_plane(runtime, 0);
@@ -920,27 +759,16 @@ Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
   return grid;
 }
 
-std::vector<Grid2D> SolveSubgraph::gather_planes(
-    const rt::Runtime& runtime) const {
-  const Shared& shared = *impl_->builder.shared();
-  const int nz = shared.program ? shared.program->nz : 1;
-  std::vector<Grid2D> planes;
-  planes.reserve(static_cast<std::size_t>(nz));
-  for (int z = 0; z < nz; ++z) planes.push_back(gather_plane(runtime, z));
-  return planes;
-}
-
 long long SolveSubgraph::computed_points() const {
   return impl_->builder.shared()->computed_points.load();
 }
 
 int SolveSubgraph::fuse_window() const {
   const Shared& shared = *impl_->builder.shared();
-  // Temporal already runs each window inside one task — nothing to rewrite.
-  // Per-step fuse-ready graphs want one wavefront task per full window of
-  // stage-steps (shared.steps is the window after the constructor's
-  // fuse multiplication).
-  return (!shared.fused && shared.fuse > 1) ? shared.steps : 1;
+  // Fuse-ready graphs want one wavefront task per full window of stage-steps
+  // (shared.steps is the window after the constructor's fuse
+  // multiplication).
+  return shared.fuse_ready ? shared.steps : 1;
 }
 
 long long SolveSubgraph::nominal_points() const {
@@ -954,6 +782,10 @@ long long SolveSubgraph::nominal_points() const {
                                      impl_->kernel_ratio);
   }
   return nominal;
+}
+
+void validate_solve(const Problem& problem, const DistConfig& config) {
+  [[maybe_unused]] const Shared checked(problem, config);
 }
 
 SolveSubgraph add_solve_subgraph(rt::TaskGraph& graph, const Problem& problem,
@@ -1110,7 +942,9 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config) {
   DistResult result{subgraph.gather(runtime), std::move(stats), {}, {},
                     0, 0, kFlopsPerPoint, {}};
   if (problem.spec) {
-    result.planes = subgraph.gather_planes(runtime);
+    for (int z = 0; z < problem.nz; ++z) {
+      result.planes.push_back(subgraph.gather_plane(runtime, z));
+    }
     result.flops_per_point =
         spec::compile_spec(*problem.spec, problem.nz).flops_per_point();
   } else if (problem.shape) {

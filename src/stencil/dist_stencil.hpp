@@ -12,6 +12,9 @@
 //     locally (shared buffers) every step, exactly as the paper describes
 //     ("tiles that have all neighbors local ... have one layer ghost
 //     region").
+//   * fuse_depth = f > 1 is the one temporal-blocking mechanism: the builder
+//     emits a fuse-ready graph and rt::fuse_supersteps rewrites each tile's
+//     window of steps * f inner steps into one task (DESIGN.md §17).
 //
 // The kernel_ratio knob reproduces the paper's kernel-time tuning: only a
 // (ratio*h) x (ratio*w) sub-rectangle is updated, "which effectively reduces
@@ -61,11 +64,10 @@ struct DistConfig {
   /// per-step task chains so each window of steps * f stage-steps runs
   /// cache-resident inside one task. Remote halo exchanges collapse to one
   /// per f supersteps (deeper bands, more redundant recompute — the CA
-  /// trade, taken f times further). Composes with every kernel variant
-  /// (Temporal deepens its in-kernel window instead of rewriting), specs,
-  /// schedulers, persistent channels, and the fault stack; results stay
-  /// bit-identical to the serial reference. Requires kernel_ratio == 1 and
-  /// radius * steps * f (stage units) within the smallest tile extent.
+  /// trade, taken f times further). Composes with every kernel variant,
+  /// specs, schedulers, persistent channels, and the fault stack; results
+  /// stay bit-identical to the serial reference. Requires kernel_ratio == 1
+  /// and radius * steps * f (stage units) within the smallest tile extent.
   int fuse_depth = 1;
   double kernel_ratio = 1.0;  ///< <1 = simulated faster kernel (timing only)
   int workers_per_rank = 1;
@@ -76,14 +78,8 @@ struct DistConfig {
   bool aggregate_messages = false;
   /// Compute-kernel variant for the constant-coefficient 5-point path
   /// (shape/coefficient problems always use their dedicated kernels).
-  /// Scalar/Vector/Blocked only change the inner sweep — the task graph is
-  /// unchanged and results stay bit-identical to the serial reference.
-  /// Temporal additionally FUSES each superstep into one task per tile:
-  /// every neighbor side carries a steps-deep ghost band (local neighbors
-  /// included, since there is no per-inner-step exchange to refresh them)
-  /// and jacobi5_temporal advances all inner steps in-task. Temporal
-  /// requires the plain constant-coefficient problem (no shape, no variable
-  /// coefficients) and kernel_ratio == 1.
+  /// Variants only change the inner sweep — the task graph is unchanged and
+  /// results stay bit-identical to the serial reference.
   KernelVariant kernel = KernelVariant::Scalar;
   /// Blocking and SIMD-dispatch tuning for the optimized variants.
   KernelTuning tuning{};
@@ -170,8 +166,16 @@ struct DistResult {
   }
 };
 
-/// Run the distributed solver. Validates that `steps` fits the decomposition
-/// (1 <= steps <= smallest tile extent) and that tile/node grids are sound.
+/// Throw std::invalid_argument when `config` cannot run `problem`: unsound
+/// tile/node grids, steps or fuse_depth < 1, a kernel_ratio outside (0, 1]
+/// or below 1 where it is unsupported, a malformed shape or spec, or a CA
+/// window (radius * steps * fuse_depth, in stage units for specs) deeper
+/// than the smallest tile extent. run_distributed and add_solve_subgraph run
+/// exactly these checks before building any task, so a caller can reject a
+/// request up front (the serve layer maps a throw to BadRequest).
+void validate_solve(const Problem& problem, const DistConfig& config);
+
+/// Run the distributed solver. Validates the solve first (validate_solve).
 DistResult run_distributed(const Problem& problem, const DistConfig& config);
 
 /// Handle to one solve compiled into a (possibly shared) TaskGraph by
@@ -183,25 +187,20 @@ class SolveSubgraph {
   /// Virtual process count the subgraph was decomposed for; must equal the
   /// executing runtime's nranks.
   int nodes() const;
-  /// Tasks this solve contributed to the graph.
-  std::size_t tasks() const;
   /// Gather the solve's final field (spec runs: z plane 0). Throws if the
   /// graph has not run.
   Grid2D gather(const rt::Runtime& runtime) const;
   /// Gather z plane `z` of a spec-driven solve (classic paths: z must be 0).
   Grid2D gather_plane(const rt::Runtime& runtime, int z) const;
-  /// All nz interior z planes (classic paths: one plane, == gather()).
-  std::vector<Grid2D> gather_planes(const rt::Runtime& runtime) const;
   /// Stencil points updated (redundant recompute included); valid after run.
   long long computed_points() const;
   /// rows * cols * iterations (no redundancy).
   long long nominal_points() const;
   /// Members per fuse window for rt::fuse_supersteps: > 1 when the config
-  /// requested a fused wavefront on a per-step path (the emitted graph is
-  /// fuse-ready but NOT yet fused — the caller owning the TaskGraph applies
-  /// the rewrite, since a shared multi-solve graph can only be fused at one
-  /// global depth). 1 = run the graph as built (classic, or Temporal whose
-  /// windows are already intra-task).
+  /// requested a fused wavefront (the emitted graph is fuse-ready but NOT yet
+  /// fused — the caller owning the TaskGraph applies the rewrite, since a
+  /// shared multi-solve graph can only be fused at one global depth). 1 = run
+  /// the graph as built.
   int fuse_window() const;
 
   struct Impl;
@@ -216,9 +215,10 @@ class SolveSubgraph {
 /// Compile one solve into `graph` (the multi-tenant entry point: the serve
 /// layer batches several solves — distinct key_space values — into one graph
 /// and runs them on a resident runtime). Performs the same validation as
-/// run_distributed. The runtime-level DistConfig knobs (workers, scheduler,
-/// channel_factory, ...) are ignored here; only the decomposition, CA steps,
-/// kernel, hook, key_space, priority_bias, and lane matter.
+/// run_distributed (validate_solve). The runtime-level DistConfig knobs
+/// (workers, scheduler, channel_factory, ...) are ignored here; only the
+/// decomposition, CA steps, kernel, hook, key_space, priority_bias, and lane
+/// matter.
 SolveSubgraph add_solve_subgraph(rt::TaskGraph& graph, const Problem& problem,
                                  const DistConfig& config);
 

@@ -15,6 +15,7 @@
 //     of adjacent boundary tiles consistent without extra messages.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -59,25 +60,40 @@ constexpr Corner opposite(Corner c) {
 /// Static display name of a side ("north", "south", "west", "east").
 const char* side_name(Side s);
 
+// Every operation below works on the first `nplanes` planes of a tile
+// buffer: spec-driven tiles hold ncomp planes of g.size() doubles each
+// (plane p of `ext` starts at ext + p * g.size()), and packed payloads are
+// plane-major (plane 0's band first). The classic 5-point paths use the
+// default nplanes = 1.
+
 /// Pack `depth` core rows/cols adjacent to `side`. North/South bands are
 /// depth x w row-major; West/East bands are h x depth row-major.
 std::vector<double> pack_band(const double* ext, const TileGeom& g, Side side,
-                              int depth);
+                              int depth, int nplanes = 1);
 
 /// Fill this tile's ghost band on `side` (core-width lateral extent, full
 /// ghost depth on that side) from the band packed by the neighbor's opposite
 /// side with the same depth.
 void unpack_band(double* ext, const TileGeom& g, Side side,
-                 std::span<const double> band, int depth);
+                 std::span<const double> band, int depth, int nplanes = 1);
 
 /// Pack the s x s core block at `corner`.
 std::vector<double> pack_corner(const double* ext, const TileGeom& g,
-                                Corner corner, int s);
+                                Corner corner, int s, int nplanes = 1);
 
 /// Fill this tile's ghost corner region at `corner` (gn x gw cells etc.) from
 /// the s x s block packed by the diagonal neighbor's opposite corner.
 void unpack_corner(double* ext, const TileGeom& g, Corner corner,
-                   std::span<const double> block, int s);
+                   std::span<const double> block, int s, int nplanes = 1);
+
+/// Zero-allocation packers for persistent-channel registered buffers: pack
+/// straight into caller-provided storage, in the layout pack_band and
+/// pack_corner return. `dst` must hold the packed size; returns the doubles
+/// written so callers can assert against the negotiated route size.
+std::size_t pack_band_into(double* dst, const double* ext, const TileGeom& g,
+                           Side side, int depth, int nplanes = 1);
+std::size_t pack_corner_into(double* dst, const double* ext, const TileGeom& g,
+                             Corner corner, int s, int nplanes = 1);
 
 /// Refresh the `depth`-deep ghost band on `side`, spanning the full extended
 /// lateral extent, from the same-node neighbor's buffer (depth = the stencil
@@ -85,47 +101,14 @@ void unpack_corner(double* ext, const TileGeom& g, Corner corner,
 /// the lateral extents (guaranteed by blocked distribution), and the ghost
 /// depth on `side` must equal `depth`.
 void copy_local_line(double* ext, const TileGeom& g, Side side,
-                     const double* nbr, const TileGeom& ng, int depth = 1);
+                     const double* nbr, const TileGeom& ng, int depth = 1,
+                     int nplanes = 1);
 
 /// Refresh this tile's ghost corner region at `corner` (gn x gw cells etc.)
 /// from the same-node DIAGONAL neighbor's core corner — needed every step by
 /// box-shaped stencils, whose points read diagonal neighbors directly.
 void copy_local_corner(double* ext, const TileGeom& g, Corner corner,
-                       const double* diag, const TileGeom& dg);
-
-// ------------------------------------------------------- multi-plane variants
-//
-// Spec-driven tiles hold ncomp planes of g.size() doubles each (plane p of
-// buffer `ext` starts at ext + p * g.size()). These variants apply the
-// single-plane operation to the first `nplanes` planes, packing/unpacking
-// payloads plane-major (plane 0's band first). The single-plane functions are
-// the nplanes == 1 case, so the classic 5-point paths are unchanged.
-
-std::vector<double> pack_band_planes(const double* ext, const TileGeom& g,
-                                     Side side, int depth, int nplanes);
-
-/// Zero-allocation variants for persistent-channel registered buffers: pack
-/// straight into caller-provided storage (plane-major, same layout the
-/// allocating packers produce). `dst` must hold band/block doubles x nplanes;
-/// returns the doubles written so callers can assert against the negotiated
-/// route size.
-std::size_t pack_band_planes_into(double* dst, const double* ext,
-                                  const TileGeom& g, Side side, int depth,
-                                  int nplanes);
-std::size_t pack_corner_planes_into(double* dst, const double* ext,
-                                    const TileGeom& g, Corner corner, int s,
-                                    int nplanes);
-void unpack_band_planes(double* ext, const TileGeom& g, Side side,
-                        std::span<const double> band, int depth, int nplanes);
-std::vector<double> pack_corner_planes(const double* ext, const TileGeom& g,
-                                       Corner corner, int s, int nplanes);
-void unpack_corner_planes(double* ext, const TileGeom& g, Corner corner,
-                          std::span<const double> block, int s, int nplanes);
-void copy_local_line_planes(double* ext, const TileGeom& g, Side side,
-                            const double* nbr, const TileGeom& ng, int depth,
-                            int nplanes);
-void copy_local_corner_planes(double* ext, const TileGeom& g, Corner corner,
-                              const double* diag, const TileGeom& dg,
-                              int nplanes);
+                       const double* diag, const TileGeom& dg,
+                       int nplanes = 1);
 
 }  // namespace repro::stencil

@@ -123,7 +123,6 @@ const char* kernel_variant_name(KernelVariant v) {
     case KernelVariant::Scalar: return "scalar";
     case KernelVariant::Vector: return "vector";
     case KernelVariant::Blocked: return "blocked";
-    case KernelVariant::Temporal: return "temporal";
   }
   return "scalar";
 }
@@ -134,7 +133,7 @@ KernelVariant parse_kernel_variant(const std::string& name) {
   }
   throw std::invalid_argument(
       "unknown kernel variant '" + name +
-      "' (expected scalar, vector, blocked, or temporal)");
+      "' (expected scalar, vector, or blocked)");
 }
 
 bool avx2_available() {
@@ -166,7 +165,6 @@ void jacobi5_opt(const double* in, double* out, const TileGeom& geom,
       rows_vector(in, out, geom, weights, r0, r1, c0, c1, tuning);
       return;
     case KernelVariant::Blocked:
-    case KernelVariant::Temporal:
       sweep_blocked(in, out, geom, weights, r0, r1, c0, c1, tuning);
       return;
   }

@@ -1,10 +1,12 @@
 // Serial reference Jacobi solver: the ground truth every distributed
 // implementation must match bit-for-bit (identical per-point operation
 // order; Jacobi has no cross-point ordering, so determinism is exact).
+// Only the scalar reference loops run here: the optimized kernel variants
+// (kernel_opt.hpp) and fused wavefronts are held to this oracle through
+// run_distributed.
 #pragma once
 
 #include "stencil/grid.hpp"
-#include "stencil/kernel_opt.hpp"
 #include "stencil/problem.hpp"
 
 namespace repro::stencil {
@@ -14,16 +16,6 @@ namespace repro::stencil {
 /// compiled atomic-stage program (solve_serial_spec in spec_kernel.hpp) and
 /// return its z plane 0.
 Grid2D solve_serial(const Problem& problem);
-
-/// Serial solve through an optimized kernel variant (kernel_opt.hpp):
-/// Scalar/Vector/Blocked sweep the whole interior once per iteration;
-/// Temporal fuses the iterations in blocks of `fuse` steps via
-/// jacobi5_temporal (no shrinking — the single "tile" is bounded by the
-/// fixed Dirichlet ring on all four sides). Every variant returns a grid
-/// bit-identical to solve_serial. Only the plain constant-coefficient
-/// problem is supported; shape/coefficient problems throw.
-Grid2D solve_serial_opt(const Problem& problem, KernelVariant variant,
-                        const KernelTuning& tuning = {}, int fuse = 4);
 
 /// One sweep: out.interior = stencil(in), ring copied through.
 void serial_sweep(const Grid2D& in, Grid2D& out, const Stencil5& weights);

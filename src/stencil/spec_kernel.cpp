@@ -118,7 +118,7 @@ void apply_program_stage(const double* in, double* out, const TileGeom& geom,
     }
     return;
   }
-  // Blocked traversal (Vector/Temporal degenerate to it for generic
+  // Blocked traversal (Vector degenerates to it for generic
   // programs): row-band blocking keeps all ncomp input planes' working rows
   // resident; traversal order cannot change bits (Jacobi stages have no
   // cross-point ordering).

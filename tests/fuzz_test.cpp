@@ -205,10 +205,13 @@ TEST(FuzzDistStencil, FusedWavefrontPoolMatchesSerial) {
   // do not divide the iteration count (ragged final window), a window that
   // fills the tile exactly, and the persistent-wire composition — all under
   // both the default and the work-stealing scheduler, all bit-identical to
-  // the serial oracle.
+  // the serial oracle. The last four rows pin the degenerate decompositions
+  // at steps = 1, fuse = s: a 1-step window, a ragged window on a 3x3 node
+  // grid, one node whose tiles have only local sides, and a single tile.
   struct FusedCase {
     int steps, fuse, iters, node_rows, node_cols;
     bool persistent;
+    int n = 30, tile = 10;
   };
   const FusedCase cases[] = {
       {1, 2, 7, 3, 3, false},   // ragged: 7 iterations over windows of 2
@@ -217,12 +220,16 @@ TEST(FuzzDistStencil, FusedWavefrontPoolMatchesSerial) {
       {2, 5, 11, 3, 3, false},  // k > s with s > 1, W = 10 fills the tile
       {3, 3, 10, 1, 3, true},   // k == s, ragged, mixed local/remote sides
       {2, 3, 7, 3, 3, false},   // W = 6 > iters' remainder: 2nd window short
+      {1, 1, 5, 3, 3, false, 18, 6},   // s = 1: one step per window
+      {1, 3, 7, 3, 3, false, 18, 6},   // s = 3: ragged final window
+      {1, 4, 8, 1, 1, false, 16, 4},   // one node: every side local
+      {1, 4, 8, 1, 1, false, 16, 16},  // one tile: no sides at all
   };
   for (const auto sched :
        {rt::SchedPolicy::PriorityFifo, rt::SchedPolicy::WorkStealing}) {
     for (const FusedCase& c : cases) {
       stencil::DistConfig config;
-      config.decomp = {10, 10, c.node_rows, c.node_cols};
+      config.decomp = {c.tile, c.tile, c.node_rows, c.node_cols};
       config.steps = c.steps;
       config.fuse_depth = c.fuse;
       config.scheduler = sched;
@@ -230,7 +237,7 @@ TEST(FuzzDistStencil, FusedWavefrontPoolMatchesSerial) {
       SCOPED_TRACE(test_support::describe(config) + " iters=" +
                    std::to_string(c.iters));
       const stencil::Problem problem =
-          stencil::random_problem(30, 30, c.iters, 6000 + c.iters);
+          stencil::random_problem(c.n, c.n, c.iters, 6000 + c.iters);
       const stencil::DistResult result = run_distributed(problem, config);
       ASSERT_TRUE(
           test_support::grids_match(solve_serial(problem), result.grid));

@@ -694,19 +694,7 @@ TEST(GraphTransformStencil, FusedRunValidationAndMetadata) {
                  std::invalid_argument);
   }
   {
-    // The Temporal kernel absorbs the fuse factor into its in-kernel window
-    // (no graph rewrite), and fused tasks carry the fused<m>| klass tag.
-    stencil::DistConfig config;
-    config.decomp = {12, 12, 2, 2};
-    config.steps = 3;
-    config.fuse_depth = 2;
-    config.kernel = stencil::KernelVariant::Temporal;
-    config.trace = true;
-    const auto result = stencil::run_distributed(problem, config);
-    EXPECT_TRUE(test_support::grids_match(stencil::solve_serial(problem),
-                                          result.grid));
-  }
-  {
+    // Fused tasks carry the fused<m>| klass tag.
     stencil::DistConfig config;
     config.decomp = {12, 12, 2, 2};
     config.steps = 3;

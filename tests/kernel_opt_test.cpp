@@ -96,10 +96,7 @@ TEST_P(KernelOptEquivalence, MatchesScalarBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, KernelOptEquivalence,
-                         ::testing::Values(KernelVariant::Scalar,
-                                           KernelVariant::Vector,
-                                           KernelVariant::Blocked,
-                                           KernelVariant::Temporal),
+                         ::testing::ValuesIn(kAllKernelVariants),
                          [](const auto& info) {
                            return std::string(kernel_variant_name(info.param));
                          });
@@ -203,31 +200,8 @@ TEST(KernelOptApi, TemporalRejectsImpossibleRegions) {
                std::invalid_argument);
 }
 
-TEST(SolveSerialOpt, AllVariantsMatchSolveSerial) {
-  const Problem problem = random_problem(21, 17, 9);
-  const Grid2D expected = solve_serial(problem);
-  for (KernelVariant v : kAllKernelVariants) {
-    for (const int fuse : {1, 3, 4}) {
-      const Grid2D actual = solve_serial_opt(problem, v, {}, fuse);
-      EXPECT_EQ(Grid2D::max_abs_diff(expected, actual), 0.0)
-          << kernel_variant_name(v) << " fuse=" << fuse;
-    }
-  }
-}
-
-TEST(SolveSerialOpt, RejectsShapeAndCoefficientProblems) {
-  Problem coeff_problem = random_problem(8, 8, 2);
-  coeff_problem.coefficient = [](long, long) {
-    return std::array<double, kCoeffPlanes>{0.2, 0.2, 0.2, 0.2, 0.2};
-  };
-  EXPECT_THROW(solve_serial_opt(coeff_problem, KernelVariant::Vector),
-               std::invalid_argument);
-}
-
 /// Dist-level invariance: the CA result is identical regardless of which
-/// kernel variant computes it — including the fused Temporal graph, whose
-/// task structure (one task per superstep, deep bands on local sides too)
-/// differs radically from the step-per-task graph.
+/// kernel variant computes it.
 class DistVariantInvariance : public ::testing::TestWithParam<KernelVariant> {
 };
 
@@ -251,62 +225,10 @@ TEST_P(DistVariantInvariance, MatchesSerialBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, DistVariantInvariance,
-                         ::testing::Values(KernelVariant::Scalar,
-                                           KernelVariant::Vector,
-                                           KernelVariant::Blocked,
-                                           KernelVariant::Temporal),
+                         ::testing::ValuesIn(kAllKernelVariants),
                          [](const auto& info) {
                            return std::string(kernel_variant_name(info.param));
                          });
-
-TEST(DistTemporal, FusedGraphCoversBaseAndRaggedSupersteps) {
-  // steps=1 (degenerate fusion: per-iteration tasks with band exchange on
-  // every side) and a ragged final superstep (iters % steps != 0).
-  for (const auto& [iters, steps] : {std::pair{5, 1}, std::pair{7, 3}}) {
-    const Problem problem = random_problem(18, 18, iters);
-    DistConfig config;
-    config.decomp = {6, 6, 3, 3};
-    config.steps = steps;
-    config.kernel = KernelVariant::Temporal;
-    const DistResult result = run_distributed(problem, config);
-    const Grid2D expected = solve_serial(problem);
-    EXPECT_EQ(Grid2D::max_abs_diff(expected, result.grid), 0.0)
-        << "iters=" << iters << " steps=" << steps;
-  }
-}
-
-TEST(DistTemporal, SingleNodeAndSingleTile) {
-  // All sides local (one node, many tiles) and no sides at all (one tile).
-  for (const auto& [decomp_mb, nodes] : {std::pair{4, 1}, std::pair{16, 1}}) {
-    const Problem problem = random_problem(16, 16, 8);
-    DistConfig config;
-    config.decomp = {decomp_mb, decomp_mb, nodes, nodes};
-    config.steps = 4;
-    config.kernel = KernelVariant::Temporal;
-    const DistResult result = run_distributed(problem, config);
-    const Grid2D expected = solve_serial(problem);
-    EXPECT_EQ(Grid2D::max_abs_diff(expected, result.grid), 0.0)
-        << "tile=" << decomp_mb;
-  }
-}
-
-TEST(DistTemporal, RejectsUnsupportedConfigurations) {
-  const Problem problem = random_problem(16, 16, 4);
-  DistConfig config;
-  config.decomp = {8, 8, 2, 2};
-  config.steps = 2;
-  config.kernel = KernelVariant::Temporal;
-
-  DistConfig ratio_config = config;
-  ratio_config.kernel_ratio = 0.5;
-  EXPECT_THROW(run_distributed(problem, ratio_config), std::invalid_argument);
-
-  Problem coeff_problem = problem;
-  coeff_problem.coefficient = [](long, long) {
-    return std::array<double, kCoeffPlanes>{0.2, 0.2, 0.2, 0.2, 0.2};
-  };
-  EXPECT_THROW(run_distributed(coeff_problem, config), std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace repro::stencil

@@ -204,10 +204,6 @@ TEST(SchedFuzz, CaBlockedBitIdenticalUnderAllSchedules) {
   run_variant_sweep({"ca-blocked", 2, stencil::KernelVariant::Blocked});
 }
 
-TEST(SchedFuzz, CaTemporalBitIdenticalUnderAllSchedules) {
-  run_variant_sweep({"ca-temporal", 2, stencil::KernelVariant::Temporal});
-}
-
 // Fused wavefronts under adversarial schedules: the rewritten graph has one
 // task per tile per window, so the scheduler sees far fewer, far bigger
 // tasks with window-boundary-only cross-tile edges — every steal/stall
@@ -224,20 +220,28 @@ TEST(SchedFuzz, FusedWavefrontPersistentBitIdenticalUnderAllSchedules) {
                      true, /*fuse=*/3});
 }
 
+// The benchmark's ca_fused mechanism at fuzz scale: the Vector kernel inside
+// fused windows, exchanges over persistent routes — once with the window
+// filling the smallest tile (s=2, f=2) and once ragged against kIters
+// (s=1, f=3).
+TEST(SchedFuzz, CaFusedVectorPersistentBitIdenticalUnderAllSchedules) {
+  run_variant_sweep({"ca-fused-vector-persistent", 2,
+                     stencil::KernelVariant::Vector, true, /*fuse=*/2});
+}
+
+TEST(SchedFuzz, FusedVectorPersistentRaggedBitIdenticalUnderAllSchedules) {
+  run_variant_sweep({"fused-vector-persistent-ragged", 1,
+                     stencil::KernelVariant::Vector, true, /*fuse=*/3});
+}
+
 TEST(SchedFuzz, SpecStar9FusedBitIdenticalUnderAllSchedules) {
   run_spec_sweep(spec::StencilSpec::star9(), 1, 1, /*persistent=*/false,
                  /*fuse=*/2);
 }
 
 // Persistent-channel runs through the same adversarial schedule pool: the
-// fused Temporal path annotates routes only for remote neighbors, and the
-// multi-field heat3d path splits every route into nfield fragments — both
-// must stay bit-identical to the serial oracle under every schedule.
-TEST(SchedFuzz, CaTemporalPersistentBitIdenticalUnderAllSchedules) {
-  run_variant_sweep(
-      {"ca-temporal-persistent", 2, stencil::KernelVariant::Temporal, true});
-}
-
+// multi-field heat3d path splits every route into nfield fragments, and must
+// stay bit-identical to the serial oracle under every schedule.
 TEST(SchedFuzz, SpecHeat3dCaPersistentBitIdenticalUnderAllSchedules) {
   run_spec_sweep(spec::StencilSpec::heat3d(), 3, 2, /*persistent=*/true);
 }

@@ -42,6 +42,19 @@ SolveRequest make_request(const std::string& tenant, int rows, int cols,
   return request;
 }
 
+/// A star9 spec request whose CA window (2 stages x steps 5 = 10) is deeper
+/// than its 8-wide tiles.
+SolveRequest star9_too_deep() {
+  SolveRequest request;
+  request.tenant = "spec";
+  request.problem =
+      stencil::spec_problem(spec::StencilSpec::star9(), 16, 16, 10);
+  request.mb = 8;
+  request.nb = 8;
+  request.steps = 5;
+  return request;
+}
+
 TEST(SolverFarm, ConcurrentTenantsBatchedJobsMatchSerial) {
   SolverFarm farm(small_farm_config());
 
@@ -290,6 +303,40 @@ TEST(SolverFarm, MalformedRequestsAreBadRequests) {
   // Tiles don't cover the node grid.
   auto thin = farm.submit(make_request("a", 4, 4, 2, 4, 4, 1, 1));
   EXPECT_EQ(thin.rejected, RejectReason::BadRequest);
+  // Spec problems run in stage units: star9 has 2 stages per iteration, so
+  // steps = 5 needs a 10-deep ghost band on an 8-wide tile.
+  EXPECT_EQ(farm.submit(star9_too_deep()).rejected, RejectReason::BadRequest);
+}
+
+TEST(SolverFarm, MalformedSpecRequestDoesNotFailItsWave) {
+  // The bad request is refused at submit, so it never joins (and fails) a
+  // batched wave: every valid job submitted around it completes bit-exact.
+  FarmConfig config;
+  config.node_rows = 2;
+  config.node_cols = 1;
+  SolverFarm farm(config);
+  std::vector<SolveRequest> requests;
+  std::vector<std::future<SolveResponse>> futures;
+  for (int i = 0; i < 5; ++i) {
+    requests.push_back(make_request("t" + std::to_string(i % 2), 16, 16, 4, 8,
+                                    8, 1 + i % 2, 300 + i));
+    if (i == 2) {
+      EXPECT_EQ(farm.submit(star9_too_deep()).rejected,
+                RejectReason::BadRequest);
+    }
+    auto submission = farm.submit(requests.back());
+    ASSERT_TRUE(submission.accepted())
+        << reject_reason_name(submission.rejected);
+    futures.push_back(std::move(submission.response));
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    SolveResponse response = futures[i].get();
+    ASSERT_EQ(response.status, JobStatus::Completed) << response.error;
+    EXPECT_EQ(Grid2D::max_abs_diff(stencil::solve_serial(requests[i].problem),
+                                   response.grid),
+              0.0)
+        << "job " << i;
+  }
 }
 
 TEST(SolverFarm, ShutdownDrainFinishesQueuedJobsThenRejects) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "stencil/grid.hpp"
 #include "stencil/halo.hpp"
@@ -329,6 +332,82 @@ TEST(Halo, LocalLineNorthCopiesFullRowIncludingGhostCols) {
   for (int j = -2; j < w + 1; ++j) {
     EXPECT_DOUBLE_EQ(mine[g.idx(-1, j)], (h - 1) * 100.0 + j);
   }
+}
+
+TEST(Halo, MultiPlaneOpsApplyThePlaneOpToEachPlane) {
+  // Three planes of distinct values: every nplanes = 3 operation must equal
+  // the one-plane operation applied plane by plane, payloads plane-major.
+  constexpr int kPlanes = 3;
+  const TileGeom g{5, 6, 2, 2, 2, 2};
+  const auto plane = [&g](int p) {
+    return static_cast<std::size_t>(p) * g.size();
+  };
+  std::vector<double> src(kPlanes * g.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = 0.5 * static_cast<double>(i);
+  }
+
+  for (Side side : kAllSides) {
+    std::vector<double> expected;
+    for (int p = 0; p < kPlanes; ++p) {
+      const auto band = pack_band(src.data() + plane(p), g, side, 2);
+      expected.insert(expected.end(), band.begin(), band.end());
+    }
+    EXPECT_EQ(pack_band(src.data(), g, side, 2, kPlanes), expected);
+    std::vector<double> into(expected.size(), -1.0);
+    EXPECT_EQ(pack_band_into(into.data(), src.data(), g, side, 2, kPlanes),
+              expected.size());
+    EXPECT_EQ(into, expected);
+
+    std::vector<double> one(src.size(), -7.0);
+    std::vector<double> all(src.size(), -7.0);
+    const std::size_t per = expected.size() / kPlanes;
+    for (int p = 0; p < kPlanes; ++p) {
+      unpack_band(one.data() + plane(p), g, side,
+                  std::span<const double>(expected).subspan(p * per, per), 2);
+    }
+    unpack_band(all.data(), g, side, expected, 2, kPlanes);
+    EXPECT_EQ(all, one);
+
+    std::fill(one.begin(), one.end(), -7.0);
+    std::fill(all.begin(), all.end(), -7.0);
+    for (int p = 0; p < kPlanes; ++p) {
+      copy_local_line(one.data() + plane(p), g, side, src.data() + plane(p), g,
+                      2);
+    }
+    copy_local_line(all.data(), g, side, src.data(), g, 2, kPlanes);
+    EXPECT_EQ(all, one);
+  }
+  for (Corner corner : kAllCorners) {
+    std::vector<double> expected;
+    for (int p = 0; p < kPlanes; ++p) {
+      const auto block = pack_corner(src.data() + plane(p), g, corner, 3);
+      expected.insert(expected.end(), block.begin(), block.end());
+    }
+    EXPECT_EQ(pack_corner(src.data(), g, corner, 3, kPlanes), expected);
+    std::vector<double> into(expected.size(), -1.0);
+    EXPECT_EQ(pack_corner_into(into.data(), src.data(), g, corner, 3, kPlanes),
+              expected.size());
+    EXPECT_EQ(into, expected);
+
+    std::vector<double> one(src.size(), -7.0);
+    std::vector<double> all(src.size(), -7.0);
+    for (int p = 0; p < kPlanes; ++p) {
+      unpack_corner(one.data() + plane(p), g, corner,
+                    std::span<const double>(expected).subspan(p * 9, 9), 3);
+      copy_local_corner(one.data() + plane(p), g, opposite(corner),
+                        src.data() + plane(p), g);
+    }
+    unpack_corner(all.data(), g, corner, expected, 3, kPlanes);
+    copy_local_corner(all.data(), g, opposite(corner), src.data(), g, kPlanes);
+    EXPECT_EQ(all, one);
+  }
+  // A payload that is not nplanes whole bands is rejected.
+  const auto two = pack_band(src.data(), g, Side::North, 2, 2);
+  EXPECT_THROW(unpack_band(src.data(), g, Side::North, two, 2, kPlanes),
+               std::invalid_argument);
+  EXPECT_THROW(pack_band(src.data(), g, Side::North, 2, 0),
+               std::invalid_argument);
 }
 
 TEST(Halo, ValidatesGeometry) {
