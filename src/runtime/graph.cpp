@@ -79,6 +79,11 @@ void TaskGraph::seal(int nranks) {
   sealed_ = true;
 }
 
+TaskSpec& TaskGraph::mutable_spec(std::size_t index) {
+  if (sealed_) throw std::logic_error("TaskGraph: mutable_spec after seal");
+  return specs_[index];
+}
+
 std::size_t TaskGraph::index_of(const TaskKey& key) const {
   const auto it = by_key_.find(key);
   if (it == by_key_.end()) {

@@ -78,6 +78,10 @@ class TaskGraph {
   std::size_t size() const { return specs_.size(); }
 
   const TaskSpec& spec(std::size_t index) const { return specs_[index]; }
+  /// Mutable access for graph rewrites (graph_transform.hpp) that move a
+  /// spec's body, inputs or klass out before replacing the graph. Only legal
+  /// while unsealed; the key must not change (it indexes the graph).
+  TaskSpec& mutable_spec(std::size_t index);
 
   /// Index lookup by key; throws if absent.
   std::size_t index_of(const TaskKey& key) const;

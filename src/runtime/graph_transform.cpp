@@ -340,7 +340,9 @@ FuseReport fuse_supersteps(TaskGraph& graph, int k) {
     if (group_of[i] != i) continue;  // absorbed into its window's last member
     const auto wit = windows.find(i);
     if (wit == windows.end()) {
-      TaskSpec spec = graph.spec(i);
+      // Specs move into the new graph; a moved-from spec keeps its key, and
+      // keys are all the remaining remap lookups read.
+      TaskSpec spec = std::move(graph.mutable_spec(i));
       for (FlowRef& flow : spec.inputs) flow = remap_flow(flow);
       fused.add_task(std::move(spec));
       continue;
@@ -366,13 +368,12 @@ FuseReport fuse_supersteps(TaskGraph& graph, int k) {
         dedup;
     for (std::uint32_t o = 0; o < members.size(); ++o) {
       const std::size_t m = members[o];
-      const TaskSpec& ms = graph.spec(m);
-      spec.priority = std::max(spec.priority, ms.priority);
       MemberPlan member;
-      member.spec = ms;
+      member.spec = std::move(graph.mutable_spec(m));
       member.last = (m == i);
-      member.inputs.reserve(ms.inputs.size());
-      for (const FlowRef& flow : ms.inputs) {
+      spec.priority = std::max(spec.priority, member.spec.priority);
+      member.inputs.reserve(member.spec.inputs.size());
+      for (const FlowRef& flow : member.spec.inputs) {
         InputSrc src;
         if (graph.contains(flow.producer) &&
             group_of[graph.index_of(flow.producer)] == i) {

@@ -54,8 +54,8 @@ struct StageTap {
 };
 
 /// One component plane a stage writes. Components without an output in a
-/// given stage carry their previous value through (the driver copies the
-/// whole buffer before applying the stage).
+/// given stage carry their previous value through (the driver copies those
+/// planes whole into the output buffer before applying the stage).
 struct StageOutput {
   int comp = 0;
   std::vector<StageTap> taps;

@@ -230,6 +230,27 @@ void call_hook(const Shared& shared, const TileInfo& info, int k,
   shared.hook(k, info.ti, info.tj, core);
 }
 
+/// Copy every cell of one plane OUTSIDE [r0,r1) x [c0,c1) from `in` to
+/// `out`: whole rows above and below the rectangle, the left and right
+/// segments of the rows it spans. A kernel then writes the rectangle itself,
+/// so each cell of `out` is written once.
+void copy_frame(const double* in, double* out, const TileGeom& g, int r0,
+                int r1, int c0, int c1) {
+  const auto rows_block = [&](int from, int to) {
+    if (to <= from) return;
+    const std::size_t begin = g.idx(from, -g.gw);
+    std::copy(in + begin, in + g.idx(to, -g.gw), out + begin);
+  };
+  rows_block(-g.gn, r0);
+  for (int i = r0; i < r1; ++i) {
+    const std::size_t left = g.idx(i, -g.gw);
+    std::copy(in + left, in + g.idx(i, c0), out + left);
+    const std::size_t right = g.idx(i, c1);
+    std::copy(in + right, in + g.idx(i, g.w + g.ge), out + right);
+  }
+  rows_block(r1, g.h + g.gs);
+}
+
 /// What a task publishes besides its state, decided at graph-build time so
 /// that producers and consumers agree by construction.
 struct PackPlan {
@@ -564,22 +585,36 @@ class Builder {
       spec.inputs.push_back({init_key(info.ti, info.tj), kSlotCoeff});
     }
 
+    // Does this step write any ghost cell before its sweep (local lines,
+    // local corners, or bands/corners unpacked at a superstep start)? Only
+    // then does it need a private copy of its predecessor state; every other
+    // step — each non-first member of a fused window, and steps inside a
+    // superstep on tiles without local neighbors — sweeps input 0 in place.
+    bool refresh = false;
+    for (int i = 0; i < 4; ++i) {
+      refresh = refresh || info.side_local[i] || info.corner_local[i] ||
+                (start && (info.side_deep[i] || info.corner_in[i]));
+    }
+
     auto shared = shared_;
     const TileInfo tile_info = info;
     const PackPlan plan = pack_plan(info, k);
-    spec.body = [shared, tile_info, plan, k, start,
+    spec.body = [shared, tile_info, plan, k, start, refresh,
                  variable](rt::TaskContext& ctx) {
       const TileGeom& g = tile_info.geom;
       const int steps = shared->steps;
 
-      // 1. Assemble the input view: previous own state (covers the core, the
-      //    still-valid redundant bands, and the Dirichlet ring)...
+      // 1. The sweep reads the previous own state (core, still-valid
+      //    redundant bands, Dirichlet ring) in place — or, when this step
+      //    refreshes ghost cells, a scratch copy of it that steps 2-3 patch.
       const int radius = shared->radius;
       const int exchange_depth = radius * steps;
       std::span<const double> prev = ctx.input(0);
-      std::vector<double> assembled(prev.begin(), prev.end());
+      std::vector<double> scratch;
+      if (refresh) scratch.assign(prev.begin(), prev.end());
+      const double* in = refresh ? scratch.data() : prev.data();
 
-      // 2. ...refresh radius-deep local ghost lines (full extended extent),
+      // 2. Refresh radius-deep local ghost lines (full extended extent),
       //    then (box shapes / diagonal-tap programs) local corner blocks.
       //    Local copies carry ALL state planes: a spec stage t > 1 reads the
       //    neighbor's stage-(t-1) intermediates one cell deep.
@@ -588,32 +623,32 @@ class Builder {
       for (Side s : kAllSides) {
         if (!tile_info.side_local[static_cast<int>(s)]) continue;
         const TileInfo nbr = make_nbr_info(*shared, tile_info, s);
-        copy_local_line(assembled.data(), g, s, ctx.input(next_input).data(),
+        copy_local_line(scratch.data(), g, s, ctx.input(next_input).data(),
                         nbr.geom, radius, ncomp);
         ++next_input;
       }
       for (Corner c : kAllCorners) {
         if (!tile_info.corner_local[static_cast<int>(c)]) continue;
         const TileInfo diag = make_diag_info(*shared, tile_info, c);
-        copy_local_corner(assembled.data(), g, c, ctx.input(next_input).data(),
+        copy_local_corner(scratch.data(), g, c, ctx.input(next_input).data(),
                           diag.geom, ncomp);
         ++next_input;
       }
 
-      // 3. ...and at superstep starts overwrite the deep remote bands and
-      //    corners with freshly received data. Remote payloads carry only the
-      //    nfield field planes: stage 1 reads nothing else, and ghost-band
+      // 3. At superstep starts, overwrite the deep bands and corners with
+      //    freshly received data. Remote payloads carry only the nfield
+      //    field planes: stage 1 reads nothing else, and ghost-band
       //    intermediates are recomputed locally stage by stage.
       if (start) {
         for (Side s : kAllSides) {
           if (!tile_info.side_deep[static_cast<int>(s)]) continue;
-          unpack_band(assembled.data(), g, s, ctx.input(next_input),
+          unpack_band(scratch.data(), g, s, ctx.input(next_input),
                       exchange_depth, shared->nfield);
           ++next_input;
         }
         for (Corner c : kAllCorners) {
           if (!tile_info.corner_in[static_cast<int>(c)]) continue;
-          unpack_corner(assembled.data(), g, c, ctx.input(next_input),
+          unpack_corner(scratch.data(), g, c, ctx.input(next_input),
                         exchange_depth, shared->nfield);
           ++next_input;
         }
@@ -638,25 +673,43 @@ class Builder {
                                   shared->ratio * (c1 - c0))));
       }
 
-      std::vector<double> out = assembled;  // ring + unwritten cells persist
+      // 5. The new state: the kernel writes [r0,r1) x [c0,c1); everything
+      //    it does not write (the frame around the rectangle, including the
+      //    ring and, for kernel_ratio < 1, the unswept core) is copied from
+      //    the sweep's input. Spec stages carry the planes they do not
+      //    output whole, as apply_program_stage requires.
+      std::vector<double> out(prev.size());
       if (shared->program) {
-        // Stage (k-1) % nstages of the compiled program; non-output planes
-        // and the static exterior ring were carried by the copy above.
-        apply_program_stage(assembled.data(), out.data(), g, *shared->program,
-                            (k - 1) % shared->nstages, r0, r1, c0, c1,
-                            shared->kernel, shared->tuning);
-      } else if (shared->problem.shape) {
-        apply_shape(assembled.data(), out.data(), g, *shared->problem.shape,
-                    r0, r1, c0, c1);
-      } else if (variable) {
-        const auto coeff = ctx.input(ctx.num_inputs() - 1);
-        jacobi5_var(assembled.data(), out.data(), g, coeff.data(), r0, r1, c0,
-                    c1);
+        const int stage = (k - 1) % shared->nstages;
+        const auto& outputs =
+            shared->program->stages[static_cast<std::size_t>(stage)].outputs;
+        for (int comp = 0; comp < ncomp; ++comp) {
+          const std::size_t off = static_cast<std::size_t>(comp) * g.size();
+          const bool written =
+              std::any_of(outputs.begin(), outputs.end(),
+                          [comp](const auto& o) { return o.comp == comp; });
+          if (written) {
+            copy_frame(in + off, out.data() + off, g, r0, r1, c0, c1);
+          } else {
+            std::copy(in + off, in + off + g.size(), out.data() + off);
+          }
+        }
+        apply_program_stage(in, out.data(), g, *shared->program, stage, r0, r1,
+                            c0, c1, shared->kernel, shared->tuning);
       } else {
-        // Constant-coefficient path: dispatch the selected kernel variant
-        // (bit-identical to jacobi5 by construction, see kernel_opt.hpp).
-        jacobi5_opt(assembled.data(), out.data(), g, shared->problem.weights,
-                    r0, r1, c0, c1, shared->kernel, shared->tuning);
+        copy_frame(in, out.data(), g, r0, r1, c0, c1);
+        if (shared->problem.shape) {
+          apply_shape(in, out.data(), g, *shared->problem.shape, r0, r1, c0,
+                      c1);
+        } else if (variable) {
+          const auto coeff = ctx.input(ctx.num_inputs() - 1);
+          jacobi5_var(in, out.data(), g, coeff.data(), r0, r1, c0, c1);
+        } else {
+          // Constant-coefficient path: dispatch the selected kernel variant
+          // (bit-identical to jacobi5 by construction, see kernel_opt.hpp).
+          jacobi5_opt(in, out.data(), g, shared->problem.weights, r0, r1, c0,
+                      c1, shared->kernel, shared->tuning);
+        }
       }
       shared->computed_points.fetch_add(
           static_cast<long long>(r1 - r0) * (c1 - c0),
@@ -736,13 +789,21 @@ Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
   const std::size_t plane_off =
       shared.program ? static_cast<std::size_t>(shared.program->zlo + z) : 0;
 
+  // The ring holds the Dirichlet boundary; the interior is tile cores, one
+  // contiguous row copy per tile row.
   Grid2D grid(problem.rows, problem.cols);
-  const CellFn ring = shared.program
-                          ? CellFn([&problem, z](long i, long j) {
-                              return problem.boundary3(i, j, z);
-                            })
-                          : problem.boundary;
-  grid.fill([](long, long) { return 0.0; }, ring);
+  const auto ring = [&](int i, int j) {
+    grid.at(i, j) = shared.program ? problem.boundary3(i, j, z)
+                                   : problem.boundary(i, j);
+  };
+  for (int j = -1; j <= problem.cols; ++j) {
+    ring(-1, j);
+    ring(problem.rows, j);
+  }
+  for (int i = 0; i < problem.rows; ++i) {
+    ring(i, -1);
+    ring(i, problem.cols);
+  }
   for (int ti = 0; ti < map.tiles_r(); ++ti) {
     for (int tj = 0; tj < map.tiles_c(); ++tj) {
       const rt::Buffer state = runtime.result(
@@ -750,9 +811,8 @@ Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
       const TileGeom& g = builder.tile(ti, tj).geom;
       const double* src = state->data() + plane_off * g.size();
       for (int i = 0; i < g.h; ++i) {
-        for (int j = 0; j < g.w; ++j) {
-          grid.at(map.row0(ti) + i, map.col0(tj) + j) = src[g.idx(i, j)];
-        }
+        const double* row = src + g.idx(i, 0);
+        std::copy(row, row + g.w, &grid.at(map.row0(ti) + i, map.col0(tj)));
       }
     }
   }

@@ -45,9 +45,11 @@ double spec_init_value(const spec::CompiledProgram& prog,
 
 /// Apply stage `stage_idx` of the program over [r0,r1) x [c0,c1) in core
 /// coordinates (bounds may reach into ghost regions; each stage reads at
-/// most 1 cell deep). `in` and `out` are ncomp-plane buffers; components the
-/// stage does not output must already hold their carried-over values in
-/// `out` (callers copy in -> out first). Blocked/Vector variants change the
+/// most 1 cell deep). `in` and `out` are ncomp-plane buffers. The stage
+/// writes only the rectangle of its output components: components it does
+/// not output, and output-component cells outside the rectangle, must
+/// already hold their carried-over values in `out` (the distributed driver
+/// copies exactly those cells from `in`). Blocked/Vector variants change the
 /// traversal only (bit-identical); the recognized star5 program dispatches
 /// jacobi5_opt.
 void apply_program_stage(const double* in, double* out, const TileGeom& geom,

@@ -22,7 +22,10 @@
 
 namespace repro::test_support {
 
-/// Bit-exact grid comparison; on mismatch names the first differing cell.
+/// Bit-exact grid comparison over the interior AND the Dirichlet ring
+/// (i, j in [-1, rows] x [-1, cols]): the distributed gather writes the ring
+/// on its own path, so it is checked like any other cell. On mismatch names
+/// the first differing cell.
 inline ::testing::AssertionResult grids_match(const stencil::Grid2D& expected,
                                               const stencil::Grid2D& actual,
                                               const std::string& label = "") {
@@ -35,8 +38,8 @@ inline ::testing::AssertionResult grids_match(const stencil::Grid2D& expected,
   long long mismatches = 0;
   int first_i = -1;
   int first_j = -1;
-  for (int i = 0; i < expected.rows(); ++i) {
-    for (int j = 0; j < expected.cols(); ++j) {
+  for (int i = -1; i <= expected.rows(); ++i) {
+    for (int j = -1; j <= expected.cols(); ++j) {
       if (expected.at(i, j) != actual.at(i, j)) {
         if (mismatches == 0) {
           first_i = i;

@@ -6,6 +6,9 @@
 // on doubles, tolerance 0.0).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "stencil/dist_stencil.hpp"
 #include "stencil/serial.hpp"
 
@@ -279,6 +282,68 @@ TEST(DistStencil, KernelRatioReducesComputedPoints) {
   // ratio=0.5 updates a quarter of each tile.
   EXPECT_EQ(rq.computed_points * 4, rf.computed_points);
   EXPECT_EQ(rq.nominal_points * 4, rf.nominal_points);
+}
+
+// kernel_ratio < 1 sweeps a sub-rectangle of each tile's step region; the
+// step's output must carry every other cell over from its input. So a core
+// cell that no inner step ever sweeps still holds problem.initial after k
+// iterations.
+TEST(DistStencil, KernelRatioKeepsUnsweptCellsAtInitialValue) {
+  const Problem problem = random_problem(32, 32, 4);
+  for (const int steps : {1, 2}) {
+    for (const KernelVariant kernel :
+         {KernelVariant::Scalar, KernelVariant::Vector}) {
+      DistConfig config;
+      config.decomp = {8, 8, 2, 2};
+      config.steps = steps;
+      config.kernel = kernel;
+      config.kernel_ratio = 0.5;
+      SCOPED_TRACE("steps=" + std::to_string(steps) + " kernel=" +
+                   kernel_variant_name(kernel));
+      const DistResult r = run_distributed(problem, config);
+
+      // The driver's step region: deep (remote) sides start steps - jj - 1
+      // cells into the ghost band at inner step jj; the ratio then keeps the
+      // leading half of each extent.
+      const TileMap map(problem.rows, problem.cols, 8, 8, 2, 2);
+      long long unswept = 0;
+      for (int ti = 0; ti < map.tiles_r(); ++ti) {
+        for (int tj = 0; tj < map.tiles_c(); ++tj) {
+          const auto deep = [&](int dti, int dtj) {
+            return map.neighbor_remote(ti, tj, dti, dtj) ? 1 : 0;
+          };
+          const int h = map.tile_h(ti);
+          const int w = map.tile_w(tj);
+          for (int i = 0; i < h; ++i) {
+            for (int j = 0; j < w; ++j) {
+              bool swept = false;
+              for (int jj = 0; jj < steps; ++jj) {
+                const int reach = steps - jj - 1;
+                const int r0 = -reach * deep(-1, 0);
+                const int c0 = -reach * deep(0, -1);
+                const int r1 = h + reach * deep(1, 0);
+                const int c1 = w + reach * deep(0, 1);
+                const int rn = std::max(1, static_cast<int>(std::lround(
+                                               0.5 * (r1 - r0))));
+                const int cn = std::max(1, static_cast<int>(std::lround(
+                                               0.5 * (c1 - c0))));
+                swept = swept ||
+                        (i >= r0 && i < r0 + rn && j >= c0 && j < c0 + cn);
+              }
+              if (swept) continue;
+              ++unswept;
+              const int gi = map.row0(ti) + i;
+              const int gj = map.col0(tj) + j;
+              ASSERT_EQ(r.grid.at(gi, gj), problem.initial(gi, gj))
+                  << "tile (" << ti << "," << tj << ") cell (" << i << ","
+                  << j << ")";
+            }
+          }
+        }
+      }
+      EXPECT_GT(unswept, 0);
+    }
+  }
 }
 
 TEST(DistStencil, ValidatesConfiguration) {
