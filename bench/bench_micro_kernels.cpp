@@ -21,7 +21,7 @@
 #include "stencil/kernel_opt.hpp"
 #include "stencil/problem.hpp"
 #include "stencil/serial.hpp"
-#include "stencil/shape.hpp"
+#include "stencil/spec_kernel.hpp"
 
 namespace {
 
@@ -180,32 +180,42 @@ void BM_CsrSpmv(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrSpmv)->Arg(256)->Arg(512)->Arg(1024);
 
-void BM_ApplyShape(benchmark::State& state) {
-  // Generic-shape kernel overhead vs the specialized 5-point kernel: arg 0
-  // selects the shape (0 = 5-point-as-shape, 1 = cross r=2, 2 = box r=1,
-  // 3 = box r=2).
+void BM_ApplyProgramStage(benchmark::State& state) {
+  // Compiled spec programs through the generic direct kernel: arg 0 selects
+  // the spec (0 = star5, which dispatches jacobi5, 1 = star9, 2 = box9,
+  // 3 = radius-3 cross).
   const int tile = 288;
-  StencilShape shape;
+  spec::StencilSpec sp;
   switch (state.range(0)) {
-    case 0: shape = StencilShape::five_point(Stencil5::laplace_jacobi()); break;
-    case 1: shape = StencilShape::random_cross(2); break;
-    case 2: shape = StencilShape::random_box(1); break;
-    default: shape = StencilShape::random_box(2); break;
+    case 0: sp = spec::StencilSpec::star5(); break;
+    case 1: sp = spec::StencilSpec::star9(); break;
+    case 2: sp = spec::StencilSpec::box9(); break;
+    default:
+      sp.points = {{{0, 0, 0}, 0.3}};
+      for (int d = 1; d <= 3; ++d) {
+        for (const auto& off : {std::array<int, 3>{-d, 0, 0}, {d, 0, 0},
+                                {0, -d, 0}, {0, d, 0}}) {
+          sp.points.push_back({off, 0.05});
+        }
+      }
+      break;
   }
-  const int r = shape.radius;
+  const spec::CompiledProgram prog = spec::compile_spec(sp);
+  const int r = prog.radius;
   const TileGeom g{tile, tile, r, r, r, r};
   std::vector<double> in(g.size(), 1.0);
   std::vector<double> out(g.size(), 0.0);
   for (auto _ : state) {
-    apply_shape(in.data(), out.data(), g, shape, 0, tile, 0, tile);
+    apply_program_stage(in.data(), out.data(), g, prog, 0, 0, tile, 0, tile);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
-      static_cast<double>(tile) * tile * shape.flops_per_point() *
+      static_cast<double>(tile) * tile * prog.flops_per_point() *
           static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ApplyShape)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_ApplyProgramStage)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_Jacobi5Variable(benchmark::State& state) {
   const int tile = 288;

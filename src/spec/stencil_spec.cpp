@@ -201,8 +201,8 @@ StencilSpec random_spec(unsigned long seed) {
   unsigned long h = hash64(seed * 0x9e3779b97f4a7c15UL + 1);
   s.rank = 1 + static_cast<int>(h % 3);
   h = hash64(h);
-  // Keep the stage chain and the z plane count small: xy radius <= 3 for 2D,
-  // <= 2 once z participates (component count grows with both).
+  // Keep the tap count and the z plane count small: xy radius <= 3 for 2D,
+  // <= 2 once z participates (plane count grows with both).
   const int radius = 1 + static_cast<int>(h % (s.rank == 3 ? 2 : 3));
 
   // Always include the center, then an independent coin per candidate offset
@@ -230,55 +230,6 @@ StencilSpec random_spec(unsigned long seed) {
   for (StencilPoint& p : s.points) p.coeff *= 0.9 / sum;
   s.validate();
   return s;
-}
-
-// ------------------------------------------------------------ derived halos
-
-int HaloRegion::order() const {
-  int n = 0;
-  for (int a = 0; a < kMaxRank; ++a) n += dir[static_cast<std::size_t>(a)] != 0;
-  return n;
-}
-
-std::vector<HaloRegion> derive_halos(const StencilSpec& spec) {
-  std::vector<HaloRegion> regions;
-  for (int di = -1; di <= 1; ++di) {
-    for (int dj = -1; dj <= 1; ++dj) {
-      for (int dz = -1; dz <= 1; ++dz) {
-        if (di == 0 && dj == 0 && dz == 0) continue;
-        const std::array<int, 3> dir{di, dj, dz};
-        HaloRegion region;
-        region.dir = dir;
-        bool needed = false;
-        for (const StencilPoint& p : spec.points) {
-          bool matches = true;
-          for (std::size_t a = 0; a < 3; ++a) {
-            if (dir[a] > 0 && p.offset[a] <= 0) matches = false;
-            if (dir[a] < 0 && p.offset[a] >= 0) matches = false;
-          }
-          if (!matches) continue;
-          needed = true;
-          for (std::size_t a = 0; a < 3; ++a) {
-            if (dir[a] != 0) {
-              region.depth[a] =
-                  std::max(region.depth[a], std::abs(p.offset[a]));
-            }
-          }
-        }
-        if (needed) regions.push_back(region);
-      }
-    }
-  }
-  return regions;
-}
-
-int stage_count(const StencilSpec& spec) {
-  return std::max(1, spec.radius_xy());
-}
-
-int ca_ghost_depth(const StencilSpec& spec, int steps) {
-  if (steps < 1) throw std::invalid_argument("ca_ghost_depth: steps < 1");
-  return stage_count(spec) * steps;
 }
 
 }  // namespace repro::spec

@@ -32,20 +32,36 @@ constexpr std::uint16_t kSlotCorner(Corner c) {
 /// Variable-coefficient planes, published once per tile by INIT.
 constexpr std::uint16_t kSlotCoeff = 9;
 
-/// Immutable per-run context shared by all task bodies. The constructor is
-/// also the one place a solve is validated (validate_solve): every check
-/// below runs before any task exists.
+/// Static per-tile facts derived from the TileMap.
+struct TileInfo {
+  int ti = 0, tj = 0;
+  int rank = 0;
+  TileGeom geom;
+  bool side_exists[4] = {};
+  bool side_remote[4] = {};
+  bool side_local[4] = {};
+  /// Deep (radius*steps) ghost band on this side, refreshed by packed bands
+  /// at superstep starts. Classic: the remote sides. Fuse-ready graphs:
+  /// every side with a neighbor — there is no per-inner-step local exchange
+  /// inside a fused window, so local neighbors need deep bands too.
+  bool side_deep[4] = {};
+  /// This tile consumes a corner block from the diagonal neighbor at Corner c.
+  bool corner_in[4] = {};
+  /// Box stencils only: this tile reads the same-node diagonal's state at c.
+  bool corner_local[4] = {};
+  bool boundary = false;  ///< any remote side (paper's "boundary tile")
+};
+
+/// Per-run context shared by all task bodies, immutable once the Builder
+/// has filled `tiles`. The constructor is also the one place a solve is
+/// validated (validate_solve): every check below runs before any task
+/// exists.
 ///
-/// Spec-driven problems run in STAGE UNITS: the compiled program's nstages
-/// radius-1 atomic stages replace each original iteration, so the constructor
-/// multiplies both `steps` and `problem.iterations` by nstages and fixes
-/// radius = 1. Every downstream mechanism — superstep gating, ghost depth
-/// radius * steps, the per-step shrink, pack plans, ragged final supersteps —
-/// then works unchanged; only the task bodies know that state buffers carry
-/// ncomp planes and that remote exchanges ship just the nfield field planes
-/// (stage 1 reads only field planes, and intermediates inside the deep ghost
-/// bands are recomputed locally stage by stage — so shipping them would be
-/// pure waste).
+/// Spec-driven problems run their compiled direct program: `radius` is the
+/// spec's xy reach (ghost bands radius * steps deep, shrinking by radius per
+/// inner step, radius-deep local lines), `box` is set by diagonal taps, and
+/// state buffers carry the program's nfield planes, all of which local
+/// copies and remote exchanges move.
 struct Shared {
   Shared(const Problem& p, const DistConfig& config)
       : problem(p),
@@ -73,15 +89,6 @@ struct Shared {
       throw std::invalid_argument(
           "fused wavefronts (fuse_depth > 1) require kernel_ratio == 1");
     }
-    if (problem.shape && problem.coefficient) {
-      throw std::invalid_argument(
-          "shape and variable coefficients are mutually exclusive");
-    }
-    if (problem.shape) {
-      problem.shape->validate();
-      radius = problem.shape->radius;
-      box = problem.shape->box;
-    }
     if (problem.spec) {
       if (ratio != 1.0) {
         throw std::invalid_argument(
@@ -89,25 +96,20 @@ struct Shared {
       }
       program = std::make_shared<const spec::CompiledProgram>(
           compile_problem_spec(problem));
-      nstages = program->nstages;
       nfield = program->nfield;
-      radius = 1;  // every atomic stage reads one cell deep
+      radius = program->radius;
       box = program->diagonal_taps;
-      steps *= nstages;
-      problem.iterations *= nstages;
     }
     // Fused wavefronts widen the exchange window: `steps` becomes the full
-    // window (fuse supersteps' worth of stage units) so every downstream
+    // window (fuse supersteps' worth of steps) so every downstream
     // mechanism — ghost depth, superstep gating, shrink, pack plans — sees
     // one exchange per window. hook_period keeps the ORIGINAL superstep
     // cadence, so checkpoints/snapshots stay every config.steps iterations
     // regardless of fusing (fuse-ready tile cores are consistent at every
-    // stage boundary).
+    // step boundary).
     hook_period = steps;
     steps *= fuse;
     fuse_ready = fuse > 1;
-    // Spec runs compare against ca_ghost_depth: steps here is already in
-    // stage units (config.steps * nstages) and radius is 1.
     if (radius * steps > map.min_tile_extent()) {
       throw std::invalid_argument(
           "radius * steps exceeds the smallest tile extent (" +
@@ -115,17 +117,20 @@ struct Shared {
     }
   }
 
+  const TileInfo& tile(int ti, int tj) const {
+    return tiles[static_cast<std::size_t>(ti) * map.tiles_c() + tj];
+  }
+
   Problem problem;
   TileMap map;
   int steps;
   double ratio;
-  int hook_period = 1;  ///< superstep-hook cadence in stage units
+  int hook_period = 1;  ///< superstep-hook cadence in steps
   int radius = 1;    ///< stencil reach (1 for the paper's 5-point case)
-  bool box = false;  ///< box-shaped stencil (reads diagonals every step)
-  /// Spec path: compiled atomic-stage program (null = classic 5-point/shape).
+  bool box = false;  ///< reads diagonal neighbors every step
+  /// Spec path: compiled direct program (null = classic 5-point paths).
   std::shared_ptr<const spec::CompiledProgram> program;
-  int nstages = 1;  ///< stages per original iteration (1 = classic paths)
-  int nfield = 1;   ///< planes remote halo exchange carries
+  int nfield = 1;   ///< planes per state buffer (1 on the classic paths)
   SuperstepHook hook;  ///< superstep-boundary snapshot callback (may be empty)
   KernelVariant kernel = KernelVariant::Scalar;
   KernelTuning tuning{};
@@ -133,27 +138,10 @@ struct Shared {
   /// EVERY neighbor side, cross-tile edges only at window boundaries — the
   /// precondition for rt::fuse_supersteps.
   bool fuse_ready = false;
+  /// Per-tile facts, row-major over the tile grid. Filled by the Builder;
+  /// empty in validate_solve's throwaway context.
+  std::vector<TileInfo> tiles;
   std::atomic<long long> computed_points{0};
-};
-
-/// Static per-tile facts derived from the TileMap.
-struct TileInfo {
-  int ti = 0, tj = 0;
-  int rank = 0;
-  TileGeom geom;
-  bool side_exists[4] = {};
-  bool side_remote[4] = {};
-  bool side_local[4] = {};
-  /// Deep (radius*steps) ghost band on this side, refreshed by packed bands
-  /// at superstep starts. Classic: the remote sides. Fuse-ready graphs:
-  /// every side with a neighbor — there is no per-inner-step local exchange
-  /// inside a fused window, so local neighbors need deep bands too.
-  bool side_deep[4] = {};
-  /// This tile consumes a corner block from the diagonal neighbor at Corner c.
-  bool corner_in[4] = {};
-  /// Box shapes only: this tile reads the same-node diagonal's state at c.
-  bool corner_local[4] = {};
-  bool boundary = false;  ///< any remote side (paper's "boundary tile")
 };
 
 TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
@@ -188,8 +176,8 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
     if (deep_all) {
       // Fused windows redundantly compute into every neighbor-facing band,
       // so every existing diagonal must supply its corner block (steps > 1;
-      // a 1-step window only reads the one-deep cross halo — unless the
-      // stencil is box-shaped and reads diagonals every step).
+      // a 1-step window only reads the cross halo — unless the stencil
+      // reads diagonals every step).
       info.corner_in[static_cast<int>(c)] = diag_exists && (steps > 1 || box);
       info.corner_local[static_cast<int>(c)] = false;
       continue;
@@ -200,8 +188,8 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
     const Side col_side = d_tj(c) < 0 ? Side::West : Side::East;
     const bool adjacent_remote = info.side_remote[static_cast<int>(row_side)] ||
                                  info.side_remote[static_cast<int>(col_side)];
-    // Cross shapes read into the ghost corners only while redundantly
-    // computing (steps > 1); box shapes read diagonals on every step.
+    // Cross stencils read into the ghost corners only while redundantly
+    // computing (steps > 1); box stencils read diagonals on every step.
     info.corner_in[static_cast<int>(c)] =
         diag_exists && diag_remote &&
         (box || (steps > 1 && adjacent_remote));
@@ -211,14 +199,13 @@ TileInfo make_tile_info(const TileMap& map, int steps, int radius, bool box,
 }
 
 /// Hand the tile's h x w core (row-major) to the superstep hook. Spec runs
-/// pass the nfield field planes (plane-major) — everything a restart needs,
-/// since intermediates are dead at superstep boundaries.
+/// pass all nfield planes (plane-major).
 void call_hook(const Shared& shared, const TileInfo& info, int k,
                const double* ext) {
   const TileGeom& g = info.geom;
-  const int planes = shared.program ? shared.nfield : 1;
-  std::vector<double> core(static_cast<std::size_t>(planes) * g.h * g.w);
-  for (int p = 0; p < planes; ++p) {
+  std::vector<double> core(static_cast<std::size_t>(shared.nfield) * g.h *
+                           g.w);
+  for (int p = 0; p < shared.nfield; ++p) {
     const double* src = ext + static_cast<std::size_t>(p) * g.size();
     double* dst = core.data() + static_cast<std::size_t>(p) * g.h * g.w;
     for (int i = 0; i < g.h; ++i) {
@@ -290,13 +277,15 @@ class Builder {
         priority_bias_(config.priority_bias),
         lane_(config.lane),
         persistent_(config.persistent) {
-    const TileMap& map = shared_->map;
-    tiles_.reserve(static_cast<std::size_t>(map.tiles_r()) * map.tiles_c());
+    Shared& shared = *shared_;
+    const TileMap& map = shared.map;
+    shared.tiles.reserve(static_cast<std::size_t>(map.tiles_r()) *
+                         map.tiles_c());
     for (int ti = 0; ti < map.tiles_r(); ++ti) {
       for (int tj = 0; tj < map.tiles_c(); ++tj) {
-        tiles_.push_back(make_tile_info(map, shared_->steps, shared_->radius,
-                                        shared_->box, shared_->fuse_ready, ti,
-                                        tj));
+        shared.tiles.push_back(make_tile_info(map, shared.steps, shared.radius,
+                                              shared.box, shared.fuse_ready,
+                                              ti, tj));
       }
     }
   }
@@ -304,9 +293,7 @@ class Builder {
   const TileMap& map() const { return shared_->map; }
   std::shared_ptr<Shared> shared() const { return shared_; }
 
-  const TileInfo& tile(int ti, int tj) const {
-    return tiles_[static_cast<std::size_t>(ti) * shared_->map.tiles_c() + tj];
-  }
+  const TileInfo& tile(int ti, int tj) const { return shared_->tile(ti, tj); }
 
   void build(rt::TaskGraph& graph) {
     const TileMap& map = shared_->map;
@@ -401,8 +388,8 @@ class Builder {
   }
 
   /// Publish state + any planned bands/corners from the freshly computed
-  /// extended buffer. `nplanes` is the plane count exchanged remotely (the
-  /// spec path's nfield; 1 on the classic paths).
+  /// extended buffer. `nplanes` is the state buffer's plane count (the spec
+  /// path's nfield; 1 on the classic paths).
   static void publish_all(rt::TaskContext& ctx, const TileInfo& info,
                           const PackPlan& plan, int depth,
                           std::vector<double>&& ext, int nplanes) {
@@ -455,20 +442,17 @@ class Builder {
       const long gr0 = map.row0(tile_info.ti);
       const long gc0 = map.col0(tile_info.tj);
 
-      const int ncomp = shared->program ? shared->program->ncomp : 1;
-      std::vector<double> ext(static_cast<std::size_t>(ncomp) * g.size());
+      std::vector<double> ext(static_cast<std::size_t>(shared->nfield) *
+                              g.size());
       if (shared->program) {
-        // Spec path: every component at every padded cell gets its derived
-        // initial value — the same spec_init_value the serial oracle uses,
-        // which is what makes the never-recomputed exterior ring partials
-        // agree bit-for-bit.
-        for (int c = 0; c < ncomp; ++c) {
+        // Spec path: every plane at every padded cell samples the field the
+        // way the serial oracle does (initial3 inside, boundary3 outside).
+        for (int c = 0; c < shared->nfield; ++c) {
           double* dst = ext.data() + static_cast<std::size_t>(c) * g.size();
           for (int i = -g.gn; i < g.h + g.gs; ++i) {
             for (int j = -g.gw; j < g.w + g.ge; ++j) {
-              dst[g.idx(i, j)] = spec_init_value(*shared->program,
-                                                 shared->problem, c, gr0 + i,
-                                                 gc0 + j);
+              dst[g.idx(i, j)] = spec_sample(*shared->program, shared->problem,
+                                             c, gr0 + i, gc0 + j);
             }
           }
         }
@@ -615,41 +599,40 @@ class Builder {
       const double* in = refresh ? scratch.data() : prev.data();
 
       // 2. Refresh radius-deep local ghost lines (full extended extent),
-      //    then (box shapes / diagonal-tap programs) local corner blocks.
-      //    Local copies carry ALL state planes: a spec stage t > 1 reads the
-      //    neighbor's stage-(t-1) intermediates one cell deep.
-      const int ncomp = shared->program ? shared->program->ncomp : 1;
+      //    then (diagonal-tap stencils) local corner blocks, on every state
+      //    plane.
+      const int nplanes = shared->nfield;
       std::size_t next_input = 1;
       for (Side s : kAllSides) {
         if (!tile_info.side_local[static_cast<int>(s)]) continue;
-        const TileInfo nbr = make_nbr_info(*shared, tile_info, s);
-        copy_local_line(scratch.data(), g, s, ctx.input(next_input).data(),
-                        nbr.geom, radius, ncomp);
+        const TileGeom& ng =
+            shared->tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s)).geom;
+        copy_local_line(scratch.data(), g, s, ctx.input(next_input).data(), ng,
+                        radius, nplanes);
         ++next_input;
       }
       for (Corner c : kAllCorners) {
         if (!tile_info.corner_local[static_cast<int>(c)]) continue;
-        const TileInfo diag = make_diag_info(*shared, tile_info, c);
+        const TileGeom& dg =
+            shared->tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c)).geom;
         copy_local_corner(scratch.data(), g, c, ctx.input(next_input).data(),
-                          diag.geom, ncomp);
+                          dg, nplanes);
         ++next_input;
       }
 
       // 3. At superstep starts, overwrite the deep bands and corners with
-      //    freshly received data. Remote payloads carry only the nfield
-      //    field planes: stage 1 reads nothing else, and ghost-band
-      //    intermediates are recomputed locally stage by stage.
+      //    freshly received data.
       if (start) {
         for (Side s : kAllSides) {
           if (!tile_info.side_deep[static_cast<int>(s)]) continue;
           unpack_band(scratch.data(), g, s, ctx.input(next_input),
-                      exchange_depth, shared->nfield);
+                      exchange_depth, nplanes);
           ++next_input;
         }
         for (Corner c : kAllCorners) {
           if (!tile_info.corner_in[static_cast<int>(c)]) continue;
           unpack_corner(scratch.data(), g, c, ctx.input(next_input),
-                        exchange_depth, shared->nfield);
+                        exchange_depth, nplanes);
           ++next_input;
         }
       }
@@ -676,32 +659,23 @@ class Builder {
       // 5. The new state: the kernel writes [r0,r1) x [c0,c1); everything
       //    it does not write (the frame around the rectangle, including the
       //    ring and, for kernel_ratio < 1, the unswept core) is copied from
-      //    the sweep's input. Spec stages carry the planes they do not
-      //    output whole, as apply_program_stage requires.
+      //    the sweep's input. Spec programs carry their frozen z-boundary
+      //    planes whole, as apply_program_stage requires.
       std::vector<double> out(prev.size());
-      if (shared->program) {
-        const int stage = (k - 1) % shared->nstages;
-        const auto& outputs =
-            shared->program->stages[static_cast<std::size_t>(stage)].outputs;
-        for (int comp = 0; comp < ncomp; ++comp) {
-          const std::size_t off = static_cast<std::size_t>(comp) * g.size();
-          const bool written =
-              std::any_of(outputs.begin(), outputs.end(),
-                          [comp](const auto& o) { return o.comp == comp; });
-          if (written) {
+      if (const auto& prog = shared->program) {
+        for (int p = 0; p < nplanes; ++p) {
+          const std::size_t off = static_cast<std::size_t>(p) * g.size();
+          if (p >= prog->zlo && p < prog->zlo + prog->nz) {
             copy_frame(in + off, out.data() + off, g, r0, r1, c0, c1);
           } else {
             std::copy(in + off, in + off + g.size(), out.data() + off);
           }
         }
-        apply_program_stage(in, out.data(), g, *shared->program, stage, r0, r1,
-                            c0, c1, shared->kernel, shared->tuning);
+        apply_program_stage(in, out.data(), g, *prog, 0, r0, r1, c0, c1,
+                            shared->kernel, shared->tuning);
       } else {
         copy_frame(in, out.data(), g, r0, r1, c0, c1);
-        if (shared->problem.shape) {
-          apply_shape(in, out.data(), g, *shared->problem.shape, r0, r1, c0,
-                      c1);
-        } else if (variable) {
+        if (variable) {
           const auto coeff = ctx.input(ctx.num_inputs() - 1);
           jacobi5_var(in, out.data(), g, coeff.data(), r0, r1, c0, c1);
         } else {
@@ -716,34 +690,17 @@ class Builder {
           std::memory_order_relaxed);
 
       // The tile is globally consistent again at superstep boundaries — the
-      // natural checkpoint instant. Spec runs report the ORIGINAL iteration
-      // index (k is in stage units there). Fused windows keep the original
-      // cadence: hook_period is the pre-fuse superstep length, and the tile
-      // core is consistent at every one of those interior boundaries (all
-      // deep sides shrink uniformly past the core only at window end).
+      // natural checkpoint instant. Fused windows keep the original cadence:
+      // hook_period is the pre-fuse superstep length, and the tile core is
+      // consistent at every one of those interior boundaries (all deep sides
+      // shrink uniformly past the core only at window end).
       if (shared->hook && k % shared->hook_period == 0) {
-        call_hook(*shared, tile_info, k / shared->nstages, out.data());
+        call_hook(*shared, tile_info, k, out.data());
       }
       publish_all(ctx, tile_info, plan, exchange_depth, std::move(out),
-                  shared->nfield);
+                  nplanes);
     };
     return spec;
-  }
-
-  /// Geometry of the neighbor on `side` (for local line copies).
-  static TileInfo make_nbr_info(const Shared& shared, const TileInfo& info,
-                                Side s) {
-    return make_tile_info(shared.map, shared.steps, shared.radius, shared.box,
-                          shared.fuse_ready, info.ti + d_ti(s),
-                          info.tj + d_tj(s));
-  }
-
-  /// Geometry of the diagonal neighbor at `corner` (for box local corners).
-  static TileInfo make_diag_info(const Shared& shared, const TileInfo& info,
-                                 Corner c) {
-    return make_tile_info(shared.map, shared.steps, shared.radius, shared.box,
-                          shared.fuse_ready, info.ti + d_ti(c),
-                          info.tj + d_tj(c));
   }
 
   std::shared_ptr<Shared> shared_;
@@ -752,7 +709,6 @@ class Builder {
   int priority_bias_ = 0;
   int lane_ = -1;
   bool persistent_ = false;
-  std::vector<TileInfo> tiles_;
 };
 
 }  // namespace
@@ -785,7 +741,7 @@ Grid2D SolveSubgraph::gather_plane(const rt::Runtime& runtime, int z) const {
   if (z < 0 || z >= nz) {
     throw std::invalid_argument("gather_plane: z out of range");
   }
-  // Spec state buffers hold ncomp planes; z's field plane is zlo + z.
+  // Spec state buffers hold nfield planes; z's plane is zlo + z.
   const std::size_t plane_off =
       shared.program ? static_cast<std::size_t>(shared.program->zlo + z) : 0;
 
@@ -825,7 +781,7 @@ long long SolveSubgraph::computed_points() const {
 
 int SolveSubgraph::fuse_window() const {
   const Shared& shared = *impl_->builder.shared();
-  // Fuse-ready graphs want one wavefront task per full window of stage-steps
+  // Fuse-ready graphs want one wavefront task per full window of steps
   // (shared.steps is the window after the constructor's fuse
   // multiplication).
   return shared.fuse_ready ? shared.steps : 1;
@@ -1007,8 +963,6 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config) {
     }
     result.flops_per_point =
         spec::compile_spec(*problem.spec, problem.nz).flops_per_point();
-  } else if (problem.shape) {
-    result.flops_per_point = problem.shape->flops_per_point();
   }
   result.trace_events = runtime.tracer().events();
   result.computed_points = subgraph.computed_points();
@@ -1058,8 +1012,9 @@ DistResult run_distributed(const Problem& problem, const DistConfig& config) {
     if (problem.spec) {
       auto spec_info = registry.gauge(
           "stencil_spec_info", {{"spec", problem.spec->name}},
-          "Stencil spec of this run (value = atomic stage count)");
-      spec_info->set(static_cast<double>(spec::stage_count(*problem.spec)));
+          "Stencil spec of this run (value = ghost depth per step)");
+      spec_info->set(static_cast<double>(
+          std::max(1, problem.spec->radius_xy())));
     }
     if (result.stats.wall_time_s > 0.0) {
       auto rate = registry.gauge("stencil_points_per_second", {},

@@ -39,8 +39,8 @@ namespace repro::stencil {
 /// Called as tile (ti,tj) reaches a globally consistent state: after INIT
 /// (k == 0) and after each iteration k with k % steps == 0. `core` is the
 /// tile's h x w interior, row-major (spec-driven runs pass the program's
-/// nfield field planes, plane-major — nfield * h * w values — and k counts
-/// ORIGINAL iterations, not atomic stages). Invoked concurrently from worker
+/// nfield planes, plane-major — nfield * h * w values). Invoked concurrently
+/// from worker
 /// threads — the callee must be thread-safe. Used by the fault subsystem to
 /// checkpoint at CA superstep boundaries.
 using SuperstepHook =
@@ -61,13 +61,13 @@ struct DistConfig {
   /// §17). With fuse_depth = f > 1 the builder emits a FUSE-READY graph —
   /// every neighbor side carries a (steps * f)-deep ghost band, cross-tile
   /// edges exist only at window boundaries — and the driver rewrites the
-  /// per-step task chains so each window of steps * f stage-steps runs
+  /// per-step task chains so each window of steps * f inner steps runs
   /// cache-resident inside one task. Remote halo exchanges collapse to one
   /// per f supersteps (deeper bands, more redundant recompute — the CA
   /// trade, taken f times further). Composes with every kernel variant,
   /// specs, schedulers, persistent channels, and the fault stack; results
   /// stay bit-identical to the serial reference. Requires kernel_ratio == 1
-  /// and radius * steps * f (stage units) within the smallest tile extent.
+  /// and radius * steps * f within the smallest tile extent.
   int fuse_depth = 1;
   double kernel_ratio = 1.0;  ///< <1 = simulated faster kernel (timing only)
   int workers_per_rank = 1;
@@ -76,8 +76,8 @@ struct DistConfig {
   rt::SchedPolicy scheduler = rt::SchedPolicy::PriorityFifo;
   /// Per-destination-node message aggregation (see rt::Config).
   bool aggregate_messages = false;
-  /// Compute-kernel variant for the constant-coefficient 5-point path
-  /// (shape/coefficient problems always use their dedicated kernels).
+  /// Compute-kernel variant for the constant-coefficient 5-point path and
+  /// spec programs (variable-coefficient problems always use jacobi5_var).
   /// Variants only change the inner sweep — the task graph is unchanged and
   /// results stay bit-identical to the serial reference.
   KernelVariant kernel = KernelVariant::Scalar;
@@ -141,13 +141,11 @@ struct DistResult {
   /// Spec-driven runs: all nz interior z planes (planes[0] == grid); empty
   /// on the classic paths.
   std::vector<Grid2D> planes;
-  /// Stencil points updated (incl. redundant). Spec runs count STAGE cell
-  /// updates (one per atomic stage per cell), matching the stage-averaged
-  /// flops_per_point below.
+  /// Stencil points updated (incl. redundant); a spec run's point covers
+  /// all nz planes of one cell, like flops_per_point below.
   long long computed_points = 0;
-  long long nominal_points = 0;   ///< rows*cols*iterations (no redundancy;
-                                  ///< spec runs: iterations * stages basis)
-  double flops_per_point = kFlopsPerPoint;  ///< 9 for 5-point; shape/spec-derived
+  long long nominal_points = 0;   ///< rows*cols*iterations (no redundancy)
+  double flops_per_point = kFlopsPerPoint;  ///< 9 for 5-point; spec-derived
   /// Scrape point for the run's metric families (never null after
   /// run_distributed returns).
   std::shared_ptr<obs::MetricsRegistry> metrics{};
@@ -168,9 +166,8 @@ struct DistResult {
 
 /// Throw std::invalid_argument when `config` cannot run `problem`: unsound
 /// tile/node grids, steps or fuse_depth < 1, a kernel_ratio outside (0, 1]
-/// or below 1 where it is unsupported, a malformed shape or spec, or a CA
-/// window (radius * steps * fuse_depth, in stage units for specs) deeper
-/// than the smallest tile extent. run_distributed and add_solve_subgraph run
+/// or below 1 where it is unsupported, a malformed spec, or a CA window
+/// (radius * steps * fuse_depth) deeper than the smallest tile extent. run_distributed and add_solve_subgraph run
 /// exactly these checks before building any task, so a caller can reject a
 /// request up front (the serve layer maps a throw to BadRequest).
 void validate_solve(const Problem& problem, const DistConfig& config);

@@ -61,7 +61,7 @@ constexpr Corner opposite(Corner c) {
 const char* side_name(Side s);
 
 // Every operation below works on the first `nplanes` planes of a tile
-// buffer: spec-driven tiles hold ncomp planes of g.size() doubles each
+// buffer: spec-driven tiles hold nfield planes of g.size() doubles each
 // (plane p of `ext` starts at ext + p * g.size()), and packed payloads are
 // plane-major (plane 0's band first). The classic 5-point paths use the
 // default nplanes = 1.

@@ -25,6 +25,7 @@
 #include "equivalence_helpers.hpp"
 #include "runtime/graph_transform.hpp"
 #include "runtime/runtime.hpp"
+#include "spec/stages.hpp"
 #include "spec/stencil_spec.hpp"
 #include "stencil/dist_stencil.hpp"
 #include "stencil/serial.hpp"
@@ -576,7 +577,8 @@ TEST(GraphTransform, SealedGraphAndBadDepthAreRejected) {
 TEST(GraphTransformStencil, FuseReadyGraphsRoundTripForEveryNamedSpec) {
   // Build the fuse-ready graph of every named spec (plus the classic
   // 5-point), apply the rewrite at the builder's advertised window, and
-  // check the exact count identity tiles * (1 + ceil(stage_iters / W)).
+  // check the exact count identity tiles * (1 + ceil(iters / W)), where the
+  // window W = steps * fuse iterations for every spec.
   std::vector<std::string> cases = spec::spec_names();
   cases.emplace_back("classic");
   for (const std::string& name : cases) {
@@ -592,25 +594,24 @@ TEST(GraphTransformStencil, FuseReadyGraphsRoundTripForEveryNamedSpec) {
     config.decomp = {12, 12, 2, 2};
     config.steps = 1;
     config.fuse_depth = 2;
-    const int nstages =
-        name == "classic" ? 1 : spec::stage_count(spec::spec_by_name(name));
-    const int window = config.steps * nstages * config.fuse_depth;
-    if (window > 12) continue;  // would be rejected by validation, skip
+    const int radius =
+        name == "classic" ? 1
+                          : spec::compile_spec(spec::spec_by_name(name)).radius;
+    const int window = config.steps * config.fuse_depth;
+    if (radius * window > 12) continue;  // rejected by validation, skip
 
     TaskGraph graph;
     const stencil::SolveSubgraph subgraph =
         stencil::add_solve_subgraph(graph, problem, config);
     ASSERT_EQ(subgraph.fuse_window(), window);
     const std::size_t tiles = 4;
-    const int stage_iters = iters * nstages;
-    EXPECT_EQ(graph.size(),
-              tiles * (1 + static_cast<std::size_t>(stage_iters)));
+    EXPECT_EQ(graph.size(), tiles * (1 + static_cast<std::size_t>(iters)));
 
     const rt::FuseReport report = rt::fuse_supersteps(graph, window);
     EXPECT_EQ(report.chains, tiles);
     EXPECT_EQ(graph.size(),
               tiles * (1 + static_cast<std::size_t>(
-                               (stage_iters + window - 1) / window)));
+                               (iters + window - 1) / window)));
     EXPECT_NO_THROW(graph.seal(subgraph.nodes()));
   }
 }

@@ -369,9 +369,11 @@ TEST(Transport, DestinationLabelCardinalityIsCapped) {
     transport.send(std::move(m));
   }
 
-  // Capped destinations alias the overflow series...
-  const auto* overflow = metrics->snapshot().find_counter(
-      "net_messages_total", {{"dst", "overflow"}});
+  // Capped destinations alias the overflow series... (the snapshot is bound
+  // to a local: find_counter points into it)
+  const obs::MetricsSnapshot snap = metrics->snapshot();
+  const auto* overflow =
+      snap.find_counter("net_messages_total", {{"dst", "overflow"}});
   ASSERT_NE(overflow, nullptr);
   EXPECT_EQ(overflow->value, 8u);
 

@@ -42,8 +42,8 @@ SolveRequest make_request(const std::string& tenant, int rows, int cols,
   return request;
 }
 
-/// A star9 spec request whose CA window (2 stages x steps 5 = 10) is deeper
-/// than its 8-wide tiles.
+/// A star9 spec request whose ghost depth (radius 2 x steps 5 = 10) is
+/// deeper than its 8-wide tiles.
 SolveRequest star9_too_deep() {
   SolveRequest request;
   request.tenant = "spec";
@@ -303,8 +303,8 @@ TEST(SolverFarm, MalformedRequestsAreBadRequests) {
   // Tiles don't cover the node grid.
   auto thin = farm.submit(make_request("a", 4, 4, 2, 4, 4, 1, 1));
   EXPECT_EQ(thin.rejected, RejectReason::BadRequest);
-  // Spec problems run in stage units: star9 has 2 stages per iteration, so
-  // steps = 5 needs a 10-deep ghost band on an 8-wide tile.
+  // star9 has radius 2, so steps = 5 needs a 10-deep ghost band on an
+  // 8-wide tile.
   EXPECT_EQ(farm.submit(star9_too_deep()).rejected, RejectReason::BadRequest);
 }
 

@@ -1,48 +1,61 @@
-// General stencil shapes (radius-r cross, box/9-point) — unit tests on the
-// shape machinery plus the distributed equivalence suite for the generalized
-// CA geometry (r*s-deep ghosts, r-per-step shrink, diagonal flows).
+// Radius-r cross and box stencils through the spec front end — unit tests
+// on the direct program kernel plus the distributed equivalence suite for
+// the radius-r CA geometry (r*s-deep ghosts, r-per-step shrink, diagonal
+// flows).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "spec/stages.hpp"
 #include "stencil/dist_stencil.hpp"
 #include "stencil/halo.hpp"
 #include "stencil/serial.hpp"
+#include "stencil/spec_kernel.hpp"
 
 namespace repro::stencil {
 namespace {
 
-TEST(Shape, OffsetsOrderAndCounts) {
-  const StencilShape cross = StencilShape::random_cross(2);
-  EXPECT_EQ(cross.num_points(), 9u);  // 1 + 4*2
-  const auto off = cross.offsets();
-  ASSERT_EQ(off.size(), 9u);
-  EXPECT_EQ(off[0], (std::pair{0, 0}));
-  EXPECT_EQ(off[1], (std::pair{-1, 0}));
-  EXPECT_EQ(off[4], (std::pair{0, 1}));
-  EXPECT_EQ(off[5], (std::pair{-2, 0}));
-
-  const StencilShape box = StencilShape::random_box(1);
-  EXPECT_EQ(box.num_points(), 9u);  // 3x3
-  EXPECT_EQ(StencilShape::random_box(2).num_points(), 25u);
-  EXPECT_DOUBLE_EQ(box.flops_per_point(), 17.0);
-  EXPECT_DOUBLE_EQ(StencilShape::five_point({}).flops_per_point(), 9.0);
+/// Radius-r cross (4r+1 points) or box ((2r+1)^2 points) spec: center, then
+/// for k = 1..r the axis taps (-k,0), (k,0), (0,-k), (0,k), then for boxes
+/// the off-axis cells in row-major order. Weights are deterministic,
+/// unequal, and normalized to sum 0.9 (contractive).
+spec::StencilSpec cross_or_box(int radius, bool box) {
+  spec::StencilSpec sp;
+  sp.name = (box ? "box" : "cross") + std::to_string(radius);
+  sp.points.push_back({{0, 0, 0}, 0.0});
+  for (int k = 1; k <= radius; ++k) {
+    sp.points.push_back({{-k, 0, 0}, 0.0});
+    sp.points.push_back({{k, 0, 0}, 0.0});
+    sp.points.push_back({{0, -k, 0}, 0.0});
+    sp.points.push_back({{0, k, 0}, 0.0});
+  }
+  if (box) {
+    for (int di = -radius; di <= radius; ++di) {
+      for (int dj = -radius; dj <= radius; ++dj) {
+        if (di != 0 && dj != 0) sp.points.push_back({{di, dj, 0}, 0.0});
+      }
+    }
+  }
+  double sum = 0.0;
+  for (std::size_t k = 0; k < sp.points.size(); ++k) {
+    sp.points[k].coeff = 1.0 + static_cast<double>(k % 7) / 3.0;
+    sum += sp.points[k].coeff;
+  }
+  for (spec::StencilPoint& p : sp.points) p.coeff *= 0.9 / sum;
+  return sp;
 }
 
-TEST(Shape, ValidateRejectsBadShapes) {
-  StencilShape s;
-  s.radius = 0;
-  EXPECT_THROW(s.validate(), std::invalid_argument);
-  s.radius = 1;
-  s.weights = {1.0};  // needs 5
-  EXPECT_THROW(s.validate(), std::invalid_argument);
-}
-
-TEST(Shape, FivePointShapeMatchesJacobi5BitForBit) {
+TEST(ProgramKernel, GenericStar5MatchesJacobi5BitForBit) {
+  // The generic direct-program loop (star5 recognition cleared) must round
+  // exactly like jacobi5: one multiply-add sequence per point in tap order.
   const int tile = 9;
   const TileGeom g{tile, tile, 1, 1, 1, 1};
   const Stencil5 w = Stencil5::test_weights();
-  const StencilShape shape = StencilShape::five_point(w);
+  spec::CompiledProgram prog = spec::compile_spec(
+      spec::StencilSpec::star5({w.center, w.north, w.south, w.west, w.east}));
+  ASSERT_TRUE(prog.star5.has_value());
+  prog.star5.reset();
 
   std::vector<double> in(g.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
@@ -50,7 +63,7 @@ TEST(Shape, FivePointShapeMatchesJacobi5BitForBit) {
   }
   std::vector<double> a(g.size(), -1.0), b(g.size(), -1.0);
   jacobi5(in.data(), a.data(), g, w, 0, tile, 0, tile);
-  apply_shape(in.data(), b.data(), g, shape, 0, tile, 0, tile);
+  apply_program_stage(in.data(), b.data(), g, prog, 0, 0, tile, 0, tile);
   for (int i = 0; i < tile; ++i) {
     for (int j = 0; j < tile; ++j) {
       EXPECT_EQ(a[g.idx(i, j)], b[g.idx(i, j)]) << i << "," << j;
@@ -58,28 +71,36 @@ TEST(Shape, FivePointShapeMatchesJacobi5BitForBit) {
   }
 }
 
-TEST(Shape, BoxReadsDiagonals) {
-  const TileGeom g{1, 1, 1, 1, 1, 1};
-  StencilShape box = StencilShape::random_box(1);
-  // Zero all weights except the NW diagonal (offset (-1,-1)).
-  const auto off = box.offsets();
-  for (std::size_t k = 0; k < off.size(); ++k) {
-    box.weights[k] = off[k] == std::pair{-1, -1} ? 2.0 : 0.0;
-  }
-  std::vector<double> in(g.size(), 0.0);
-  in[g.idx(-1, -1)] = 3.0;
-  std::vector<double> out(g.size(), -1.0);
-  apply_shape(in.data(), out.data(), g, box, 0, 1, 0, 1);
-  EXPECT_DOUBLE_EQ(out[g.idx(0, 0)], 6.0);
-}
+TEST(ProgramKernel, BoxReadsDiagonalsAndCrossReadsRadiusDeep) {
+  // A one-tap program reads exactly its offset: the NW diagonal of a box,
+  // and three cells north for a radius-3 cross.
+  spec::StencilSpec diag;
+  diag.points = {{{-1, -1, 0}, 2.0}};
+  const spec::CompiledProgram dp = spec::compile_spec(diag);
+  EXPECT_TRUE(dp.diagonal_taps);
+  EXPECT_EQ(dp.radius, 1);
+  const TileGeom g1{1, 1, 1, 1, 1, 1};
+  std::vector<double> in(g1.size(), 0.0);
+  in[g1.idx(-1, -1)] = 3.0;
+  std::vector<double> out(g1.size(), -1.0);
+  apply_program_stage(in.data(), out.data(), g1, dp, 0, 0, 1, 0, 1);
+  EXPECT_DOUBLE_EQ(out[g1.idx(0, 0)], 6.0);
 
-TEST(Shape, SerialShapeCrossOneMatchesClassicSolver) {
-  Problem p = random_problem(14, 17, 5);
-  Problem shaped = p;
-  shaped.shape = StencilShape::five_point(p.weights);
-  const Grid2D a = solve_serial(p);
-  const Grid2D b = solve_serial(shaped);
-  EXPECT_EQ(Grid2D::max_abs_diff(a, b), 0.0);
+  spec::StencilSpec north3;
+  north3.points = {{{-3, 0, 0}, 0.5}};
+  const spec::CompiledProgram np = spec::compile_spec(north3);
+  EXPECT_FALSE(np.diagonal_taps);
+  EXPECT_EQ(np.radius, 3);
+  const TileGeom g3{2, 2, 3, 3, 3, 3};
+  std::vector<double> in3(g3.size(), 0.0);
+  in3[g3.idx(-3, 1)] = 4.0;
+  std::vector<double> out3(g3.size(), -1.0);
+  apply_program_stage(in3.data(), out3.data(), g3, np, 0, 0, 2, 0, 2);
+  EXPECT_DOUBLE_EQ(out3[g3.idx(0, 1)], 2.0);
+  EXPECT_DOUBLE_EQ(out3[g3.idx(0, 0)], 0.0);
+  EXPECT_THROW(
+      apply_program_stage(in3.data(), out3.data(), g3, np, 1, 0, 2, 0, 2),
+      std::invalid_argument);
 }
 
 TEST(Halo, LocalLineDepthTwoCopiesBothColumns) {
@@ -161,9 +182,8 @@ class ShapeDist : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(ShapeDist, MatchesSerialBitForBit) {
   const ShapeCase c = GetParam();
-  Problem problem = random_problem(c.n, c.n, c.iters);
-  problem.shape = c.box ? StencilShape::random_box(c.radius)
-                        : StencilShape::random_cross(c.radius);
+  const spec::StencilSpec sp = cross_or_box(c.radius, c.box);
+  const Problem problem = spec_problem(sp, c.n, c.n, c.iters);
 
   DistConfig config;
   config.decomp = {c.tile, c.tile, c.nodes, c.nodes};
@@ -173,7 +193,8 @@ TEST_P(ShapeDist, MatchesSerialBitForBit) {
   const DistResult result = run_distributed(problem, config);
   const Grid2D expected = solve_serial(problem);
   EXPECT_EQ(Grid2D::max_abs_diff(expected, result.grid), 0.0);
-  EXPECT_DOUBLE_EQ(result.flops_per_point, problem.shape->flops_per_point());
+  EXPECT_DOUBLE_EQ(result.flops_per_point,
+                   2.0 * static_cast<double>(sp.points.size()) - 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -184,7 +205,8 @@ INSTANTIATE_TEST_SUITE_P(
         // radius-2 cross with CA: 2s-deep ghosts, shrink 2/step.
         ShapeCase{2, false, 24, 7, 8, 2, 3},
         ShapeCase{2, false, 24, 6, 8, 3, 2},
-        // radius-3 cross, all sides remote.
+        // radius-3 cross, base and CA, all sides remote.
+        ShapeCase{3, false, 27, 5, 9, 3, 1},
         ShapeCase{3, false, 27, 5, 9, 3, 2},
         // radius*steps == tile (boundary of validity).
         ShapeCase{2, false, 24, 9, 8, 2, 4}));
@@ -207,11 +229,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ShapeDist, BoxBaseUsesCornerMessages) {
   // 2x2 nodes, one tile each: a box stencil must move corner blocks across
-  // the diagonal even at s=1 (4 bands + ... per round), unlike the cross.
-  Problem cross_p = random_problem(12, 12, 4);
-  cross_p.shape = StencilShape::random_cross(1);
-  Problem box_p = cross_p;
-  box_p.shape = StencilShape::random_box(1);
+  // the diagonal even at s=1, unlike the cross.
+  const Problem cross_p = spec_problem(cross_or_box(1, false), 12, 12, 4);
+  const Problem box_p = spec_problem(cross_or_box(1, true), 12, 12, 4);
 
   DistConfig config;
   config.decomp = {6, 6, 2, 2};
@@ -225,8 +245,7 @@ TEST(ShapeDist, BoxBaseUsesCornerMessages) {
 }
 
 TEST(ShapeDist, ValidatesRadiusTimesSteps) {
-  Problem problem = random_problem(16, 16, 4);
-  problem.shape = StencilShape::random_cross(2);
+  const Problem problem = spec_problem(cross_or_box(2, false), 16, 16, 4);
   DistConfig config;
   config.decomp = {4, 4, 2, 2};
   config.steps = 3;  // 2*3 > 4
@@ -235,9 +254,9 @@ TEST(ShapeDist, ValidatesRadiusTimesSteps) {
   EXPECT_NO_THROW(run_distributed(problem, config));
 }
 
-TEST(ShapeDist, ShapeAndCoefficientAreExclusive) {
-  Problem problem = random_variable_problem(16, 16, 2);
-  problem.shape = StencilShape::random_cross(1);
+TEST(ShapeDist, SpecAndCoefficientAreExclusive) {
+  Problem problem = spec_problem(cross_or_box(1, true), 16, 16, 2);
+  problem.coefficient = random_variable_problem(16, 16, 2).coefficient;
   DistConfig config;
   config.decomp = {4, 4, 2, 2};
   EXPECT_THROW(run_distributed(problem, config), std::invalid_argument);

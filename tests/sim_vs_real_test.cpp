@@ -207,33 +207,39 @@ TEST_P(SimVsReal, FusedTrafficAgreesExactly) {
 }
 
 // Spec-driven cross-check: the simulator's neighbor-set parameterization
-// (per-spec corner gating, stage-unit supersteps, field-plane payload
-// scaling) must reproduce the real driver's traffic exactly. box9 at
-// steps=1 is the sharp case — diagonal taps force corner messages every
-// superstep even without CA fusing, which the 5-point model never does;
-// star9 exercises the stage-doubled superstep count; heat3d the multi-plane
-// payload widths.
+// (per-spec corner gating, radius-deep bands, field-plane payload scaling)
+// must reproduce the real driver's traffic exactly. box9 at steps=1 is the
+// sharp case — diagonal taps force corner messages every superstep even
+// without CA fusing, which the 5-point model never does; star9 exercises
+// radius-2 band and corner depths (base without corners, CA and fused
+// windows with them); heat3d the multi-plane payload widths.
 TEST(SimVsRealSpec, SpecTrafficAgreesExactly) {
   struct SpecCase {
     spec::StencilSpec sp;
     int nz;
     int steps;
+    int fuse = 1;
   };
   const SpecCase cases[] = {{spec::StencilSpec::box9(), 1, 1},
                             {spec::StencilSpec::box9(), 1, 3},
+                            {spec::StencilSpec::box9(), 1, 1, 3},
+                            {spec::StencilSpec::star9(), 1, 1},
                             {spec::StencilSpec::star9(), 1, 2},
+                            {spec::StencilSpec::star9(), 1, 1, 2},
                             {spec::StencilSpec::heat3d(), 2, 2}};
   for (const SpecCase& c : cases) {
     SCOPED_TRACE(c.sp.name + " nz=" + std::to_string(c.nz) + " s=" +
-                 std::to_string(c.steps));
+                 std::to_string(c.steps) + " f=" + std::to_string(c.fuse));
     const stencil::Problem problem =
         stencil::spec_problem(c.sp, 24, 24, 6, c.nz);
     stencil::DistConfig config;
     config.decomp = {4, 4, 2, 2};
     config.steps = c.steps;
+    config.fuse_depth = c.fuse;
     const stencil::DistResult real = run_distributed(problem, config);
 
     sim::StencilSimParams params{sim::nacl(), 24, 4, 2, 2, 6, c.steps, 1.0};
+    params.fuse = c.fuse;
     params.stencil = c.sp;
     params.nz = c.nz;
     const sim::StencilSimOutput simulated = sim::simulate_stencil(params);
@@ -248,8 +254,8 @@ TEST(SimVsRealSpec, SpecTrafficAgreesExactly) {
             sizeof(std::uint64_t);
     EXPECT_DOUBLE_EQ(real_payload, sim_payload);
     // The modeled redundant-compute volume must match the driver's
-    // stage-unit accounting too, not just the wire traffic (both normalize
-    // by N^2 * iterations * stages).
+    // accounting too, not just the wire traffic (both normalize by
+    // N^2 * iterations).
     EXPECT_DOUBLE_EQ(real.redundancy(), simulated.redundant_fraction);
 
     // The persistent wire schedule must agree exactly too — the sharp part
