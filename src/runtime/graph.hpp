@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/buffer.hpp"
@@ -64,17 +64,37 @@ struct TaskSpec {
 };
 
 /// Immutable-after-seal collection of TaskSpecs plus derived consumer lists.
+///
+/// Storage is flat: the key index is one open-addressing table, and seal()
+/// lays every consumer edge out in one array (CSR: task i's edges are
+/// edges_[edge_begin_[i], edge_begin_[i + 1])) next to one array of resolved
+/// producer indices, one entry per input flow in task order. A sealed graph
+/// is therefore a handful of allocations however many tasks it holds.
 class TaskGraph {
  public:
+  /// Pre-size for `tasks` tasks in total (optional; add_task grows anyway).
+  void reserve(std::size_t tasks);
+
   /// Add a task. Input flows may reference tasks added later; everything is
   /// resolved at seal(). Duplicate keys are rejected immediately.
   void add_task(TaskSpec spec);
 
-  /// Resolve flows, compute consumer lists, and freeze the graph.
-  /// Throws std::runtime_error on dangling flow references or rank < 0.
+  /// Keep `owner` alive as long as the graph. Builders whose bodies capture
+  /// a raw pointer into shared per-solve context register that context here,
+  /// so the graph never depends on the builder's handle outliving it.
+  void keep_alive(std::shared_ptr<const void> owner);
+  const std::vector<std::shared_ptr<const void>>& owners() const {
+    return owners_;
+  }
+
+  /// Resolve flows, compute consumer lists, and freeze the graph for
+  /// `nranks` ranks. Throws std::runtime_error on dangling flow references,
+  /// self-consumption, a rank outside [0, nranks), or a dependency cycle.
   void seal(int nranks);
 
   bool sealed() const { return sealed_; }
+  /// The rank count seal() validated against (0 while unsealed).
+  int sealed_nranks() const { return sealed_nranks_; }
   std::size_t size() const { return specs_.size(); }
 
   const TaskSpec& spec(std::size_t index) const { return specs_[index]; }
@@ -99,18 +119,50 @@ class TaskGraph {
     std::uint16_t route_fragments = 1;  ///< partitions per instance
   };
 
-  /// Consumers of task `index`, grouped by nothing (iterate linearly).
+  /// Consumers of task `index` (after seal), ordered by consumer index, then
+  /// by input position. Delivery order follows this order.
   std::span<const ConsumerEdge> consumers(std::size_t index) const {
-    return consumer_edges_[index];
+    return {edges_.data() + edge_begin_[index],
+            edge_begin_[index + 1] - edge_begin_[index]};
   }
 
   /// Number of consumer edges attached to (task, slot).
   std::size_t slot_fanout(std::size_t index, std::uint16_t slot) const;
 
+  /// Flat position of task `index`'s first input flow (after seal): task i's
+  /// inputs occupy [input_begin(i), input_begin(i + 1)), and
+  /// input_begin(size()) is the graph's total input count.
+  std::size_t input_begin(std::size_t index) const {
+    return input_begin_[index];
+  }
+  /// Resolved producer index of input `pos` of task `index` (after seal).
+  std::uint32_t producer_of(std::size_t index, std::size_t pos) const {
+    return producers_[input_begin_[index] + pos];
+  }
+
  private:
+  /// One slot of the open-addressing key index (linear probing, power-of-
+  /// two capacity, load factor at most 1/2). index == kEmptySlot is free.
+  struct KeySlot {
+    TaskKey key;
+    std::uint32_t index;
+  };
+  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+
+  /// Slot holding `key`, or the free slot where it would be inserted.
+  std::size_t find_slot(const TaskKey& key) const;
+  /// Rehash into a table of at least `capacity` slots.
+  void rehash(std::size_t capacity);
+
   std::vector<TaskSpec> specs_;
-  std::unordered_map<TaskKey, std::size_t, TaskKeyHash> by_key_;
-  std::vector<std::vector<ConsumerEdge>> consumer_edges_;
+  std::vector<KeySlot> by_key_;
+  std::vector<std::shared_ptr<const void>> owners_;
+  // Filled by seal().
+  std::vector<std::size_t> edge_begin_;   ///< size() + 1 offsets into edges_
+  std::vector<ConsumerEdge> edges_;
+  std::vector<std::size_t> input_begin_;  ///< size() + 1 offsets
+  std::vector<std::uint32_t> producers_;  ///< one per input flow
+  int sealed_nranks_ = 0;
   bool sealed_ = false;
 };
 

@@ -164,13 +164,26 @@ FuseReport fuse_supersteps(TaskGraph& graph, int k) {
         "fuse_supersteps: graph is sealed; fuse before handing it to run()");
   }
 
+  // Every chain member as (chain, step, index), sorted: each chain becomes
+  // one contiguous run in chain_step order (ties in task order).
   const std::size_t n = graph.size();
-  std::map<std::uint64_t, std::vector<std::size_t>> chains;
+  struct Member {
+    std::uint64_t chain;
+    std::int32_t step;
+    std::size_t index;
+    auto operator<=>(const Member&) const = default;
+  };
+  std::vector<Member> sorted;
+  sorted.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (graph.spec(i).chain != 0) chains[graph.spec(i).chain].push_back(i);
+    const TaskSpec& spec = graph.spec(i);
+    if (spec.chain != 0) sorted.push_back({spec.chain, spec.chain_step, i});
   }
-  report.chains = chains.size();
-  if (k == 1 || chains.empty()) return report;  // exact no-op
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t m = 0; m < sorted.size(); ++m) {
+    if (m == 0 || sorted[m].chain != sorted[m - 1].chain) ++report.chains;
+  }
+  if (k == 1 || sorted.empty()) return report;  // exact no-op
 
   // --- window assignment -------------------------------------------------
   // group_of[i]: representative task index (the window's last member);
@@ -180,12 +193,12 @@ FuseReport fuse_supersteps(TaskGraph& graph, int k) {
   std::vector<std::uint32_t> ordinal_of(n, 0);
   std::unordered_map<std::size_t, std::vector<std::size_t>> windows;
 
-  for (auto& [chain_id, members] : chains) {
-    std::stable_sort(members.begin(), members.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return graph.spec(a).chain_step <
-                              graph.spec(b).chain_step;
-                     });
+  for (std::size_t begin = 0; begin < sorted.size();) {
+    const std::uint64_t chain_id = sorted[begin].chain;
+    std::vector<std::size_t> members;
+    for (; begin < sorted.size() && sorted[begin].chain == chain_id; ++begin) {
+      members.push_back(sorted[begin].index);
+    }
     for (std::size_t m = 1; m < members.size(); ++m) {
       if (graph.spec(members[m]).chain_step ==
           graph.spec(members[m - 1]).chain_step) {
@@ -416,6 +429,9 @@ FuseReport fuse_supersteps(TaskGraph& graph, int k) {
     report.fused_members += members.size();
   }
 
+  // Member bodies moved into the fused plans may point into context the
+  // input graph keeps alive; the rewritten graph inherits those owners.
+  for (const auto& owner : graph.owners()) fused.keep_alive(owner);
   graph = std::move(fused);
   report.tasks_after = graph.size();
   return report;

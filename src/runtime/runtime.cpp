@@ -47,12 +47,12 @@ class RuntimeTaskContext final : public TaskContext {
   int worker() const override { return worker_; }
 
   Buffer input_buffer(std::size_t i) const override {
-    const auto& inputs = runtime_.states_[task_index_].inputs;
-    if (i >= inputs.size()) {
+    if (i >= num_inputs()) {
       throw std::out_of_range("TaskContext: input index " + std::to_string(i) +
                               " out of range for " + key().to_string());
     }
-    const Buffer& buf = inputs[i];
+    const Buffer& buf =
+        runtime_.inputs_[runtime_.graph_->input_begin(task_index_) + i];
     if (!buf) {
       throw std::logic_error("TaskContext: input " + std::to_string(i) +
                              " of " + key().to_string() + " not delivered");
@@ -60,9 +60,7 @@ class RuntimeTaskContext final : public TaskContext {
     return buf;
   }
 
-  std::size_t num_inputs() const override {
-    return runtime_.states_[task_index_].inputs.size();
-  }
+  std::size_t num_inputs() const override { return spec().inputs.size(); }
 
   using TaskContext::publish;
   void publish(std::uint16_t slot, Buffer buffer) override {
@@ -240,6 +238,8 @@ void Runtime::release_run() {
   graph_ = nullptr;
   states_.clear();
   states_.shrink_to_fit();
+  inputs_.clear();
+  inputs_.shrink_to_fit();
   queues_.clear();
   outboxes_.clear();
   pchan_ = nullptr;
@@ -248,17 +248,24 @@ void Runtime::release_run() {
 }
 
 RunStats Runtime::run(TaskGraph& graph) {
-  if (!graph.sealed()) graph.seal(config_.nranks);
+  if (!graph.sealed()) {
+    graph.seal(config_.nranks);
+  } else if (graph.sealed_nranks() > config_.nranks) {
+    throw std::invalid_argument(
+        "Runtime: graph sealed for " + std::to_string(graph.sealed_nranks()) +
+        " ranks cannot run on " + std::to_string(config_.nranks));
+  }
   graph_ = &graph;
 
+  // Per-run state is flat: one TaskState per task, and one slab holding every
+  // task's input buffers at the graph's input offsets.
   const std::size_t n = graph.size();
   states_ = std::vector<TaskState>(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& inputs = graph.spec(i).inputs;
-    states_[i].inputs.resize(inputs.size());
-    states_[i].remaining.store(static_cast<int>(inputs.size()),
+    states_[i].remaining.store(static_cast<int>(graph.spec(i).inputs.size()),
                                std::memory_order_relaxed);
   }
+  inputs_ = std::vector<Buffer>(graph.input_begin(n));
 
   queues_.clear();
   outboxes_.clear();
@@ -622,7 +629,6 @@ void Runtime::execute_task(std::size_t index, int rank, int worker) {
     tracer_.record(std::move(event));
   }
 
-  states_[index].executed.store(true, std::memory_order_release);
   complete_task(index, rank);
 
   worker_tasks_[static_cast<std::size_t>(rank * config_.workers_per_rank +
@@ -651,9 +657,10 @@ void Runtime::negotiate_routes(const TaskGraph& graph) {
   std::vector<net::RouteSpec> routes;
   for (std::size_t ci = 0; ci < graph.size(); ++ci) {
     const TaskSpec& consumer = graph.spec(ci);
-    for (const auto& flow : consumer.inputs) {
+    for (std::size_t pos = 0; pos < consumer.inputs.size(); ++pos) {
+      const FlowRef& flow = consumer.inputs[pos];
       if (flow.route == 0) continue;
-      const TaskSpec& producer = graph.spec(graph.index_of(flow.producer));
+      const TaskSpec& producer = graph.spec(graph.producer_of(ci, pos));
       if (producer.rank == consumer.rank) continue;  // local: no wire
       net::RouteSpec spec;
       spec.id = flow.route;
@@ -764,7 +771,9 @@ void Runtime::complete_task(std::size_t index, int rank) {
 
   // Release upstream data and any outputs that have been fanned out; keep
   // zero-consumer outputs for result() inspection.
-  state.inputs.clear();
+  const std::size_t first = graph_->input_begin(index);
+  const std::size_t last = graph_->input_begin(index + 1);
+  for (std::size_t i = first; i < last; ++i) inputs_[i].reset();
   std::erase_if(state.outputs, [&](const auto& entry) {
     return graph_->slot_fanout(index, entry.first) > 0;
   });
@@ -774,12 +783,12 @@ void Runtime::deliver_input(std::size_t consumer_index,
                             std::uint16_t input_pos, Buffer buffer,
                             bool remote) {
   TaskState& state = states_[consumer_index];
-  if (input_pos >= state.inputs.size()) {
+  if (input_pos >= graph_->spec(consumer_index).inputs.size()) {
     fail("deliver: input position out of range for " +
          graph_->spec(consumer_index).key.to_string());
     return;
   }
-  state.inputs[input_pos] = std::move(buffer);
+  inputs_[graph_->input_begin(consumer_index) + input_pos] = std::move(buffer);
   if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     enqueue_ready(consumer_index, /*halo=*/remote);
   }

@@ -145,8 +145,9 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Execute the graph to completion. The graph is sealed here if the caller
-  /// has not sealed it yet. Throws if any task body threw (first error wins)
-  /// or if the graph deadlocks (cyclic dependencies).
+  /// has not sealed it yet; a graph sealed for more ranks than this runtime
+  /// has throws std::invalid_argument. Throws if any task body threw (first
+  /// error wins) or if the graph deadlocks (cyclic dependencies).
   ///
   /// A Runtime instance is resident: run() may be called again with another
   /// graph (the serve layer runs a stream of graphs on one instance). Each
@@ -201,13 +202,11 @@ class Runtime {
 
   struct TaskState {
     std::atomic<int> remaining{0};
-    std::vector<Buffer> inputs;
     std::vector<std::pair<std::uint16_t, Buffer>> outputs;
     /// Slots dispatched eagerly from inside the body (publish_fragments);
     /// complete_task skips them. Body-thread-only, then read by
     /// complete_task on the same thread — no lock needed.
     std::vector<std::uint16_t> eager_slots;
-    std::atomic<bool> executed{false};
   };
 
   class Outbox {
@@ -283,6 +282,8 @@ class Runtime {
   // Per-run state (valid during/after run()).
   TaskGraph* graph_ = nullptr;
   std::vector<TaskState> states_;
+  /// Every task's input buffers, task i's at graph_->input_begin(i) onward.
+  std::vector<Buffer> inputs_;
   std::vector<std::unique_ptr<Scheduler>> queues_;
   std::vector<std::unique_ptr<Outbox>> outboxes_;
   std::shared_ptr<net::Channel> channel_;

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "net/persistent_channel.hpp"
 #include "runtime/graph_transform.hpp"
@@ -52,10 +53,18 @@ struct TileInfo {
   bool boundary = false;  ///< any remote side (paper's "boundary tile")
 };
 
+/// What a task publishes besides its state, decided at graph-build time so
+/// that producers and consumers agree by construction.
+struct PackPlan {
+  bool bands[4] = {};
+  bool corners[4] = {};
+};
+
 /// Per-run context shared by all task bodies, immutable once the Builder
-/// has filled `tiles`. The constructor is also the one place a solve is
-/// validated (validate_solve): every check below runs before any task
-/// exists.
+/// has filled the per-tile tables. Bodies capture only a pointer to it plus
+/// their tile index and iteration, and read everything else from here. The
+/// constructor is also the one place a solve is validated (validate_solve):
+/// every check below runs before any task exists.
 ///
 /// Spec-driven problems run their compiled direct program: `radius` is the
 /// spec's xy reach (ghost bands radius * steps deep, shrinking by radius per
@@ -117,8 +126,22 @@ struct Shared {
     }
   }
 
+  std::size_t tile_index(int ti, int tj) const {
+    return static_cast<std::size_t>(ti) * map.tiles_c() + tj;
+  }
   const TileInfo& tile(int ti, int tj) const {
-    return tiles[static_cast<std::size_t>(ti) * map.tiles_c() + tj];
+    return tiles[tile_index(ti, tj)];
+  }
+
+  /// Does iteration k start a superstep (receive fresh deep bands)?
+  bool superstep_start(int k) const { return (k - 1) % steps == 0; }
+
+  /// What the task publishing state k of tile t packs besides its state:
+  /// the tile's halo plan at superstep ends before the last iteration,
+  /// nothing otherwise.
+  const PackPlan& pack_plan(std::size_t t, int k) const {
+    static const PackPlan kNone{};
+    return k < problem.iterations && k % steps == 0 ? halo_plans[t] : kNone;
   }
 
   Problem problem;
@@ -138,9 +161,10 @@ struct Shared {
   /// EVERY neighbor side, cross-tile edges only at window boundaries — the
   /// precondition for rt::fuse_supersteps.
   bool fuse_ready = false;
-  /// Per-tile facts, row-major over the tile grid. Filled by the Builder;
-  /// empty in validate_solve's throwaway context.
+  /// Per-tile facts and halo plans, row-major over the tile grid. Filled by
+  /// the Builder; empty in validate_solve's throwaway context.
   std::vector<TileInfo> tiles;
+  std::vector<PackPlan> halo_plans;
   std::atomic<long long> computed_points{0};
 };
 
@@ -238,13 +262,6 @@ void copy_frame(const double* in, double* out, const TileGeom& g, int r0,
   rows_block(r1, g.h + g.gs);
 }
 
-/// What a task publishes besides its state, decided at graph-build time so
-/// that producers and consumers agree by construction.
-struct PackPlan {
-  bool bands[4] = {};
-  bool corners[4] = {};
-};
-
 /// Does this plan ship bands/corners to a remote node?
 bool publishes_remote(const PackPlan& plan) {
   for (const bool band : plan.bands) {
@@ -268,6 +285,229 @@ int task_priority(bool boundary, const PackPlan& plan) {
   return boundary ? kPriorityBoundary : kPriorityInterior;
 }
 
+/// Publish state + any planned bands/corners from the freshly computed
+/// extended buffer. `nplanes` is the state buffer's plane count (the spec
+/// path's nfield; 1 on the classic paths).
+void publish_all(rt::TaskContext& ctx, const TileInfo& info,
+                 const PackPlan& plan, int depth, std::vector<double>&& ext,
+                 int nplanes) {
+  const TileGeom& g = info.geom;
+  // Persistent-channel runs hand back a pre-registered route buffer per
+  // halo slot: pack straight into it (no allocation) and publish the
+  // fragments immediately, so remote bands depart while the state publish
+  // and bookkeeping below are still pending. Slots without a negotiated
+  // route (default runs, local fused edges) take the classic path.
+  for (Side s : kAllSides) {
+    if (plan.bands[static_cast<int>(s)]) {
+      const auto slot = kSlotBand(s);
+      if (auto buf = ctx.acquire_route_buffer(slot)) {
+        pack_band_into(buf->data(), ext.data(), g, s, depth, nplanes);
+        ctx.publish_fragments(slot, std::move(buf));
+      } else {
+        ctx.publish(slot, pack_band(ext.data(), g, s, depth, nplanes));
+      }
+    }
+  }
+  for (Corner c : kAllCorners) {
+    if (plan.corners[static_cast<int>(c)]) {
+      const auto slot = kSlotCorner(c);
+      if (auto buf = ctx.acquire_route_buffer(slot)) {
+        pack_corner_into(buf->data(), ext.data(), g, c, depth, nplanes);
+        ctx.publish_fragments(slot, std::move(buf));
+      } else {
+        ctx.publish(slot, pack_corner(ext.data(), g, c, depth, nplanes));
+      }
+    }
+  }
+  ctx.publish(kSlotState, std::move(ext));
+}
+
+/// INIT body of tile t: sample the initial field over the extended tile.
+void run_init(Shared& shared, std::size_t t, rt::TaskContext& ctx) {
+  const TileInfo& tile_info = shared.tiles[t];
+  const TileGeom& g = tile_info.geom;
+  const TileMap& map = shared.map;
+  const long gr0 = map.row0(tile_info.ti);
+  const long gc0 = map.col0(tile_info.tj);
+
+  std::vector<double> ext(static_cast<std::size_t>(shared.nfield) * g.size());
+  if (shared.program) {
+    // Spec path: every plane at every padded cell samples the field the
+    // way the serial oracle does (initial3 inside, boundary3 outside).
+    for (int c = 0; c < shared.nfield; ++c) {
+      double* dst = ext.data() + static_cast<std::size_t>(c) * g.size();
+      for (int i = -g.gn; i < g.h + g.gs; ++i) {
+        for (int j = -g.gw; j < g.w + g.ge; ++j) {
+          dst[g.idx(i, j)] = spec_sample(*shared.program, shared.problem, c,
+                                         gr0 + i, gc0 + j);
+        }
+      }
+    }
+  } else {
+    for (int i = -g.gn; i < g.h + g.gs; ++i) {
+      for (int j = -g.gw; j < g.w + g.ge; ++j) {
+        const long gi = gr0 + i;
+        const long gj = gc0 + j;
+        const bool inside =
+            gi >= 0 && gi < map.rows() && gj >= 0 && gj < map.cols();
+        ext[g.idx(i, j)] = inside ? shared.problem.initial(gi, gj)
+                                  : shared.problem.boundary(gi, gj);
+      }
+    }
+  }
+
+  // Variable-coefficient problems: materialize the coefficient planes
+  // over the full extended geometry (the CA scheme evaluates the stencil
+  // inside the ghost bands too, so planes must cover them).
+  if (shared.problem.coefficient) {
+    std::vector<double> coeff(kCoeffPlanes * g.size());
+    for (int i = -g.gn; i < g.h + g.gs; ++i) {
+      for (int j = -g.gw; j < g.w + g.ge; ++j) {
+        const auto w = shared.problem.coefficient(gr0 + i, gc0 + j);
+        for (int plane = 0; plane < kCoeffPlanes; ++plane) {
+          coeff[plane * g.size() + g.idx(i, j)] =
+              w[static_cast<std::size_t>(plane)];
+        }
+      }
+    }
+    ctx.publish(kSlotCoeff, std::move(coeff));
+  }
+  if (shared.hook) call_hook(shared, tile_info, 0, ext.data());
+  publish_all(ctx, tile_info, shared.pack_plan(t, 0),
+              shared.radius * shared.steps, std::move(ext), shared.nfield);
+}
+
+/// STEP body of tile t at iteration k. Inputs arrive in the order
+/// Builder::make_step_task lists them.
+void run_step(Shared& shared, std::size_t t, int k, rt::TaskContext& ctx) {
+  const TileInfo& tile_info = shared.tiles[t];
+  const TileGeom& g = tile_info.geom;
+  const int steps = shared.steps;
+  const bool start = shared.superstep_start(k);
+
+  // Does this step write any ghost cell before its sweep (local lines,
+  // local corners, or bands/corners unpacked at a superstep start)? Only
+  // then does it need a private copy of its predecessor state; every other
+  // step — each non-first member of a fused window, and steps inside a
+  // superstep on tiles without local neighbors — sweeps input 0 in place.
+  bool refresh = false;
+  for (int i = 0; i < 4; ++i) {
+    refresh = refresh || tile_info.side_local[i] || tile_info.corner_local[i] ||
+              (start && (tile_info.side_deep[i] || tile_info.corner_in[i]));
+  }
+
+  // 1. The sweep reads the previous own state (core, still-valid
+  //    redundant bands, Dirichlet ring) in place — or, when this step
+  //    refreshes ghost cells, a scratch copy of it that steps 2-3 patch.
+  const int radius = shared.radius;
+  const int exchange_depth = radius * steps;
+  std::span<const double> prev = ctx.input(0);
+  std::vector<double> scratch;
+  if (refresh) scratch.assign(prev.begin(), prev.end());
+  const double* in = refresh ? scratch.data() : prev.data();
+
+  // 2. Refresh radius-deep local ghost lines (full extended extent),
+  //    then (diagonal-tap stencils) local corner blocks, on every state
+  //    plane.
+  const int nplanes = shared.nfield;
+  std::size_t next_input = 1;
+  for (Side s : kAllSides) {
+    if (!tile_info.side_local[static_cast<int>(s)]) continue;
+    const TileGeom& ng =
+        shared.tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s)).geom;
+    copy_local_line(scratch.data(), g, s, ctx.input(next_input).data(), ng,
+                    radius, nplanes);
+    ++next_input;
+  }
+  for (Corner c : kAllCorners) {
+    if (!tile_info.corner_local[static_cast<int>(c)]) continue;
+    const TileGeom& dg =
+        shared.tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c)).geom;
+    copy_local_corner(scratch.data(), g, c, ctx.input(next_input).data(), dg,
+                      nplanes);
+    ++next_input;
+  }
+
+  // 3. At superstep starts, overwrite the deep bands and corners with
+  //    freshly received data.
+  if (start) {
+    for (Side s : kAllSides) {
+      if (!tile_info.side_deep[static_cast<int>(s)]) continue;
+      unpack_band(scratch.data(), g, s, ctx.input(next_input), exchange_depth,
+                  nplanes);
+      ++next_input;
+    }
+    for (Corner c : kAllCorners) {
+      if (!tile_info.corner_in[static_cast<int>(c)]) continue;
+      unpack_corner(scratch.data(), g, c, ctx.input(next_input),
+                    exchange_depth, nplanes);
+      ++next_input;
+    }
+  }
+
+  // 4. Compute the (possibly shrunken) region for this inner step: the
+  //    valid region loses `radius` layers per step on deep sides (the
+  //    remote sides classically; every neighbor side when fuse-ready).
+  const int jj = (k - 1) % steps;  // inner step within the superstep
+  const int shrink = radius * (jj + 1);
+  int r0 = tile_info.side_deep[0] ? -(exchange_depth - shrink) : 0;
+  int r1 = g.h + (tile_info.side_deep[1] ? exchange_depth - shrink : 0);
+  int c0 = tile_info.side_deep[2] ? -(exchange_depth - shrink) : 0;
+  int c1 = g.w + (tile_info.side_deep[3] ? exchange_depth - shrink : 0);
+
+  if (shared.ratio < 1.0) {
+    // Kernel-time tuning (paper section VI-D): update only a
+    // ratio-scaled sub-rectangle. Timing experiments only.
+    r1 = r0 + std::max(1, static_cast<int>(
+                              std::lround(shared.ratio * (r1 - r0))));
+    c1 = c0 + std::max(1, static_cast<int>(
+                              std::lround(shared.ratio * (c1 - c0))));
+  }
+
+  // 5. The new state: the kernel writes [r0,r1) x [c0,c1); everything
+  //    it does not write (the frame around the rectangle, including the
+  //    ring and, for kernel_ratio < 1, the unswept core) is copied from
+  //    the sweep's input. Spec programs carry their frozen z-boundary
+  //    planes whole, as apply_program_stage requires.
+  std::vector<double> out(prev.size());
+  if (const auto& prog = shared.program) {
+    for (int p = 0; p < nplanes; ++p) {
+      const std::size_t off = static_cast<std::size_t>(p) * g.size();
+      if (p >= prog->zlo && p < prog->zlo + prog->nz) {
+        copy_frame(in + off, out.data() + off, g, r0, r1, c0, c1);
+      } else {
+        std::copy(in + off, in + off + g.size(), out.data() + off);
+      }
+    }
+    apply_program_stage(in, out.data(), g, *prog, 0, r0, r1, c0, c1,
+                        shared.kernel, shared.tuning);
+  } else {
+    copy_frame(in, out.data(), g, r0, r1, c0, c1);
+    if (shared.problem.coefficient) {
+      const auto coeff = ctx.input(ctx.num_inputs() - 1);
+      jacobi5_var(in, out.data(), g, coeff.data(), r0, r1, c0, c1);
+    } else {
+      // Constant-coefficient path: dispatch the selected kernel variant
+      // (bit-identical to jacobi5 by construction, see kernel_opt.hpp).
+      jacobi5_opt(in, out.data(), g, shared.problem.weights, r0, r1, c0, c1,
+                  shared.kernel, shared.tuning);
+    }
+  }
+  shared.computed_points.fetch_add(static_cast<long long>(r1 - r0) * (c1 - c0),
+                                   std::memory_order_relaxed);
+
+  // The tile is globally consistent again at superstep boundaries — the
+  // natural checkpoint instant. Fused windows keep the original cadence:
+  // hook_period is the pre-fuse superstep length, and the tile core is
+  // consistent at every one of those interior boundaries (all deep sides
+  // shrink uniformly past the core only at window end).
+  if (shared.hook && k % shared.hook_period == 0) {
+    call_hook(shared, tile_info, k, out.data());
+  }
+  publish_all(ctx, tile_info, shared.pack_plan(t, k), exchange_depth,
+              std::move(out), nplanes);
+}
+
 class Builder {
  public:
   Builder(const Problem& problem, const DistConfig& config)
@@ -279,14 +519,19 @@ class Builder {
         persistent_(config.persistent) {
     Shared& shared = *shared_;
     const TileMap& map = shared.map;
-    shared.tiles.reserve(static_cast<std::size_t>(map.tiles_r()) *
-                         map.tiles_c());
+    const std::size_t ntiles =
+        static_cast<std::size_t>(map.tiles_r()) * map.tiles_c();
+    shared.tiles.reserve(ntiles);
     for (int ti = 0; ti < map.tiles_r(); ++ti) {
       for (int tj = 0; tj < map.tiles_c(); ++tj) {
         shared.tiles.push_back(make_tile_info(map, shared.steps, shared.radius,
                                               shared.box, shared.fuse_ready,
                                               ti, tj));
       }
+    }
+    shared.halo_plans.reserve(ntiles);
+    for (const TileInfo& info : shared.tiles) {
+      shared.halo_plans.push_back(halo_plan(info));
     }
   }
 
@@ -298,6 +543,10 @@ class Builder {
   void build(rt::TaskGraph& graph) {
     const TileMap& map = shared_->map;
     const int iters = shared_->problem.iterations;
+    graph.reserve(graph.size() + shared_->tiles.size() *
+                                     static_cast<std::size_t>(iters + 1));
+    // Bodies hold a raw pointer to the shared context; the graph owns it.
+    graph.keep_alive(shared_);
 
     for (int ti = 0; ti < map.tiles_r(); ++ti) {
       for (int tj = 0; tj < map.tiles_c(); ++tj) {
@@ -323,8 +572,6 @@ class Builder {
   std::uint32_t type_base() const { return type_base_; }
 
  private:
-  bool superstep_start(int k) const { return (k - 1) % shared_->steps == 0; }
-
   /// Persistent route id for the halo stream published by producer tile
   /// (ti, tj) on output slot `slot` (one id shared by every superstep of
   /// that stream). Bit layout: 63 = route marker, [36..55] = key_space
@@ -366,17 +613,14 @@ class Builder {
     flow.route_fragments = static_cast<std::uint16_t>(shared_->nfield);
   }
 
-  /// Does the task publishing state k of this tile pack remote bands/corners?
-  PackPlan pack_plan(const TileInfo& info, int k) const {
+  /// The bands/corners a tile packs at superstep ends: every deep side, and
+  /// corner c iff the diagonal neighbor consumes from its opposite corner.
+  PackPlan halo_plan(const TileInfo& info) const {
     PackPlan plan;
-    const int iters = shared_->problem.iterations;
-    if (k >= iters || k % shared_->steps != 0) return plan;
     for (Side s : kAllSides) {
       plan.bands[static_cast<int>(s)] = info.side_deep[static_cast<int>(s)];
     }
     for (Corner c : kAllCorners) {
-      // We pack corner c iff the diagonal neighbor consumes from its
-      // opposite corner.
       const int dti = d_ti(c);
       const int dtj = d_tj(c);
       if (!shared_->map.neighbor_exists(info.ti, info.tj, dti, dtj)) continue;
@@ -387,108 +631,26 @@ class Builder {
     return plan;
   }
 
-  /// Publish state + any planned bands/corners from the freshly computed
-  /// extended buffer. `nplanes` is the state buffer's plane count (the spec
-  /// path's nfield; 1 on the classic paths).
-  static void publish_all(rt::TaskContext& ctx, const TileInfo& info,
-                          const PackPlan& plan, int depth,
-                          std::vector<double>&& ext, int nplanes) {
-    const TileGeom& g = info.geom;
-    // Persistent-channel runs hand back a pre-registered route buffer per
-    // halo slot: pack straight into it (no allocation) and publish the
-    // fragments immediately, so remote bands depart while the state publish
-    // and bookkeeping below are still pending. Slots without a negotiated
-    // route (default runs, local fused edges) take the classic path.
-    for (Side s : kAllSides) {
-      if (plan.bands[static_cast<int>(s)]) {
-        const auto slot = kSlotBand(s);
-        if (auto buf = ctx.acquire_route_buffer(slot)) {
-          pack_band_into(buf->data(), ext.data(), g, s, depth, nplanes);
-          ctx.publish_fragments(slot, std::move(buf));
-        } else {
-          ctx.publish(slot, pack_band(ext.data(), g, s, depth, nplanes));
-        }
-      }
-    }
-    for (Corner c : kAllCorners) {
-      if (plan.corners[static_cast<int>(c)]) {
-        const auto slot = kSlotCorner(c);
-        if (auto buf = ctx.acquire_route_buffer(slot)) {
-          pack_corner_into(buf->data(), ext.data(), g, c, depth, nplanes);
-          ctx.publish_fragments(slot, std::move(buf));
-        } else {
-          ctx.publish(slot, pack_corner(ext.data(), g, c, depth, nplanes));
-        }
-      }
-    }
-    ctx.publish(kSlotState, std::move(ext));
-  }
-
+  // Task bodies capture {Shared*, tile index[, k]} and nothing else: 16
+  // trivially copyable bytes fit std::function's inline buffer, so making a
+  // body allocates nothing. Everything else they read lives in Shared.
   rt::TaskSpec make_init_task(const TileInfo& info) {
     rt::TaskSpec spec;
     spec.key = init_key(info.ti, info.tj);
     spec.rank = info.rank;
     spec.lane = lane_;
     spec.klass = "init";
-
-    auto shared = shared_;
-    const TileInfo tile_info = info;
-    const PackPlan plan = pack_plan(info, 0);
-    spec.priority = task_priority(info.boundary, plan) + priority_bias_;
-    const int depth = shared_->radius * shared_->steps;
-    spec.body = [shared, tile_info, plan, depth](rt::TaskContext& ctx) {
-      const TileGeom& g = tile_info.geom;
-      const TileMap& map = shared->map;
-      const long gr0 = map.row0(tile_info.ti);
-      const long gc0 = map.col0(tile_info.tj);
-
-      std::vector<double> ext(static_cast<std::size_t>(shared->nfield) *
-                              g.size());
-      if (shared->program) {
-        // Spec path: every plane at every padded cell samples the field the
-        // way the serial oracle does (initial3 inside, boundary3 outside).
-        for (int c = 0; c < shared->nfield; ++c) {
-          double* dst = ext.data() + static_cast<std::size_t>(c) * g.size();
-          for (int i = -g.gn; i < g.h + g.gs; ++i) {
-            for (int j = -g.gw; j < g.w + g.ge; ++j) {
-              dst[g.idx(i, j)] = spec_sample(*shared->program, shared->problem,
-                                             c, gr0 + i, gc0 + j);
-            }
-          }
-        }
-      } else {
-        for (int i = -g.gn; i < g.h + g.gs; ++i) {
-          for (int j = -g.gw; j < g.w + g.ge; ++j) {
-            const long gi = gr0 + i;
-            const long gj = gc0 + j;
-            const bool inside = gi >= 0 && gi < map.rows() && gj >= 0 &&
-                                gj < map.cols();
-            ext[g.idx(i, j)] = inside ? shared->problem.initial(gi, gj)
-                                      : shared->problem.boundary(gi, gj);
-          }
-        }
-      }
-
-      // Variable-coefficient problems: materialize the coefficient planes
-      // over the full extended geometry (the CA scheme evaluates the stencil
-      // inside the ghost bands too, so planes must cover them).
-      if (shared->problem.coefficient) {
-        std::vector<double> coeff(kCoeffPlanes * g.size());
-        for (int i = -g.gn; i < g.h + g.gs; ++i) {
-          for (int j = -g.gw; j < g.w + g.ge; ++j) {
-            const auto w = shared->problem.coefficient(gr0 + i, gc0 + j);
-            for (int plane = 0; plane < kCoeffPlanes; ++plane) {
-              coeff[plane * g.size() + g.idx(i, j)] =
-                  w[static_cast<std::size_t>(plane)];
-            }
-          }
-        }
-        ctx.publish(kSlotCoeff, std::move(coeff));
-      }
-      if (shared->hook) call_hook(*shared, tile_info, 0, ext.data());
-      publish_all(ctx, tile_info, plan, depth, std::move(ext),
-                  shared->nfield);
+    const std::size_t t = shared_->tile_index(info.ti, info.tj);
+    spec.priority =
+        task_priority(info.boundary, shared_->pack_plan(t, 0)) + priority_bias_;
+    const auto body = [shared = shared_.get(),
+                       tile = static_cast<std::uint32_t>(t)](
+                          rt::TaskContext& ctx) {
+      run_init(*shared, tile, ctx);
     };
+    static_assert(sizeof(body) <= 16 &&
+                  std::is_trivially_copyable_v<decltype(body)>);
+    spec.body = body;
     return spec;
   }
 
@@ -497,26 +659,31 @@ class Builder {
     spec.key = step_key(k, info.ti, info.tj);
     spec.rank = info.rank;
     spec.lane = lane_;
-    spec.priority = task_priority(info.boundary, pack_plan(info, k)) +
-                    priority_bias_;
+    const std::size_t t = shared_->tile_index(info.ti, info.tj);
+    spec.priority =
+        task_priority(info.boundary, shared_->pack_plan(t, k)) + priority_bias_;
     spec.klass = info.boundary ? "boundary" : "interior";
     // Dependence-cone metadata: each tile's STEP tasks form one totally
     // ordered chain (k is the position), which is exactly what
     // rt::fuse_supersteps needs to window them into wavefront tasks. +1
     // keeps key_space 0 distinguishable from "no chain".
     spec.chain = (static_cast<std::uint64_t>(key_space_) + 1) << 32 |
-                 (static_cast<std::uint64_t>(info.ti) *
-                      static_cast<std::uint64_t>(shared_->map.tiles_c()) +
-                  static_cast<std::uint64_t>(info.tj));
+                 static_cast<std::uint64_t>(t);
     spec.chain_step = k;
 
-    const bool start = superstep_start(k);
+    const bool start = shared_->superstep_start(k);
+    const bool variable = static_cast<bool>(shared_->problem.coefficient);
 
     // Input order: own prev state; local neighbor states (N,S,W,E); then at
     // superstep starts, remote bands (N,S,W,E) and remote corners
-    // (NW,NE,SW,SE). Body indexes inputs in exactly this order.
-    spec.inputs.push_back({state_key(k - 1, info.ti, info.tj),
-                           kSlotState});
+    // (NW,NE,SW,SE). run_step indexes inputs in exactly this order.
+    std::size_t count = 1 + (variable ? 1 : 0);
+    for (int i = 0; i < 4; ++i) {
+      count += info.side_local[i] + info.corner_local[i];
+      if (start) count += info.side_deep[i] + info.corner_in[i];
+    }
+    spec.inputs.reserve(count);
+    spec.inputs.push_back({state_key(k - 1, info.ti, info.tj), kSlotState});
     for (Side s : kAllSides) {
       if (info.side_local[static_cast<int>(s)]) {
         spec.inputs.push_back(
@@ -562,144 +729,20 @@ class Builder {
         }
       }
     }
-    const bool variable = static_cast<bool>(shared_->problem.coefficient);
     if (variable) {
       // The tile's coefficient planes, published once by INIT; always the
       // last input so the earlier positional indexing is undisturbed.
       spec.inputs.push_back({init_key(info.ti, info.tj), kSlotCoeff});
     }
 
-    // Does this step write any ghost cell before its sweep (local lines,
-    // local corners, or bands/corners unpacked at a superstep start)? Only
-    // then does it need a private copy of its predecessor state; every other
-    // step — each non-first member of a fused window, and steps inside a
-    // superstep on tiles without local neighbors — sweeps input 0 in place.
-    bool refresh = false;
-    for (int i = 0; i < 4; ++i) {
-      refresh = refresh || info.side_local[i] || info.corner_local[i] ||
-                (start && (info.side_deep[i] || info.corner_in[i]));
-    }
-
-    auto shared = shared_;
-    const TileInfo tile_info = info;
-    const PackPlan plan = pack_plan(info, k);
-    spec.body = [shared, tile_info, plan, k, start, refresh,
-                 variable](rt::TaskContext& ctx) {
-      const TileGeom& g = tile_info.geom;
-      const int steps = shared->steps;
-
-      // 1. The sweep reads the previous own state (core, still-valid
-      //    redundant bands, Dirichlet ring) in place — or, when this step
-      //    refreshes ghost cells, a scratch copy of it that steps 2-3 patch.
-      const int radius = shared->radius;
-      const int exchange_depth = radius * steps;
-      std::span<const double> prev = ctx.input(0);
-      std::vector<double> scratch;
-      if (refresh) scratch.assign(prev.begin(), prev.end());
-      const double* in = refresh ? scratch.data() : prev.data();
-
-      // 2. Refresh radius-deep local ghost lines (full extended extent),
-      //    then (diagonal-tap stencils) local corner blocks, on every state
-      //    plane.
-      const int nplanes = shared->nfield;
-      std::size_t next_input = 1;
-      for (Side s : kAllSides) {
-        if (!tile_info.side_local[static_cast<int>(s)]) continue;
-        const TileGeom& ng =
-            shared->tile(tile_info.ti + d_ti(s), tile_info.tj + d_tj(s)).geom;
-        copy_local_line(scratch.data(), g, s, ctx.input(next_input).data(), ng,
-                        radius, nplanes);
-        ++next_input;
-      }
-      for (Corner c : kAllCorners) {
-        if (!tile_info.corner_local[static_cast<int>(c)]) continue;
-        const TileGeom& dg =
-            shared->tile(tile_info.ti + d_ti(c), tile_info.tj + d_tj(c)).geom;
-        copy_local_corner(scratch.data(), g, c, ctx.input(next_input).data(),
-                          dg, nplanes);
-        ++next_input;
-      }
-
-      // 3. At superstep starts, overwrite the deep bands and corners with
-      //    freshly received data.
-      if (start) {
-        for (Side s : kAllSides) {
-          if (!tile_info.side_deep[static_cast<int>(s)]) continue;
-          unpack_band(scratch.data(), g, s, ctx.input(next_input),
-                      exchange_depth, nplanes);
-          ++next_input;
-        }
-        for (Corner c : kAllCorners) {
-          if (!tile_info.corner_in[static_cast<int>(c)]) continue;
-          unpack_corner(scratch.data(), g, c, ctx.input(next_input),
-                        exchange_depth, nplanes);
-          ++next_input;
-        }
-      }
-
-      // 4. Compute the (possibly shrunken) region for this inner step: the
-      //    valid region loses `radius` layers per step on deep sides (the
-      //    remote sides classically; every neighbor side when fuse-ready).
-      const int jj = (k - 1) % steps;  // inner step within the superstep
-      const int shrink = radius * (jj + 1);
-      int r0 = tile_info.side_deep[0] ? -(exchange_depth - shrink) : 0;
-      int r1 = g.h + (tile_info.side_deep[1] ? exchange_depth - shrink : 0);
-      int c0 = tile_info.side_deep[2] ? -(exchange_depth - shrink) : 0;
-      int c1 = g.w + (tile_info.side_deep[3] ? exchange_depth - shrink : 0);
-
-      if (shared->ratio < 1.0) {
-        // Kernel-time tuning (paper section VI-D): update only a
-        // ratio-scaled sub-rectangle. Timing experiments only.
-        r1 = r0 + std::max(1, static_cast<int>(std::lround(
-                                  shared->ratio * (r1 - r0))));
-        c1 = c0 + std::max(1, static_cast<int>(std::lround(
-                                  shared->ratio * (c1 - c0))));
-      }
-
-      // 5. The new state: the kernel writes [r0,r1) x [c0,c1); everything
-      //    it does not write (the frame around the rectangle, including the
-      //    ring and, for kernel_ratio < 1, the unswept core) is copied from
-      //    the sweep's input. Spec programs carry their frozen z-boundary
-      //    planes whole, as apply_program_stage requires.
-      std::vector<double> out(prev.size());
-      if (const auto& prog = shared->program) {
-        for (int p = 0; p < nplanes; ++p) {
-          const std::size_t off = static_cast<std::size_t>(p) * g.size();
-          if (p >= prog->zlo && p < prog->zlo + prog->nz) {
-            copy_frame(in + off, out.data() + off, g, r0, r1, c0, c1);
-          } else {
-            std::copy(in + off, in + off + g.size(), out.data() + off);
-          }
-        }
-        apply_program_stage(in, out.data(), g, *prog, 0, r0, r1, c0, c1,
-                            shared->kernel, shared->tuning);
-      } else {
-        copy_frame(in, out.data(), g, r0, r1, c0, c1);
-        if (variable) {
-          const auto coeff = ctx.input(ctx.num_inputs() - 1);
-          jacobi5_var(in, out.data(), g, coeff.data(), r0, r1, c0, c1);
-        } else {
-          // Constant-coefficient path: dispatch the selected kernel variant
-          // (bit-identical to jacobi5 by construction, see kernel_opt.hpp).
-          jacobi5_opt(in, out.data(), g, shared->problem.weights, r0, r1, c0,
-                      c1, shared->kernel, shared->tuning);
-        }
-      }
-      shared->computed_points.fetch_add(
-          static_cast<long long>(r1 - r0) * (c1 - c0),
-          std::memory_order_relaxed);
-
-      // The tile is globally consistent again at superstep boundaries — the
-      // natural checkpoint instant. Fused windows keep the original cadence:
-      // hook_period is the pre-fuse superstep length, and the tile core is
-      // consistent at every one of those interior boundaries (all deep sides
-      // shrink uniformly past the core only at window end).
-      if (shared->hook && k % shared->hook_period == 0) {
-        call_hook(*shared, tile_info, k, out.data());
-      }
-      publish_all(ctx, tile_info, plan, exchange_depth, std::move(out),
-                  nplanes);
+    const auto body = [shared = shared_.get(),
+                       tile = static_cast<std::uint32_t>(t),
+                       k](rt::TaskContext& ctx) {
+      run_step(*shared, tile, k, ctx);
     };
+    static_assert(sizeof(body) <= 16 &&
+                  std::is_trivially_copyable_v<decltype(body)>);
+    spec.body = body;
     return spec;
   }
 

@@ -486,6 +486,36 @@ TEST(Runtime, TraceRecordsEveryTaskWithSaneTimestamps) {
 #endif
 }
 
+// A graph sealed for more ranks than the runtime has must be refused before
+// any task runs: a task on rank >= nranks has no ready queue to land in.
+TEST(Runtime, RejectsGraphSealedForMoreRanks) {
+  std::atomic<int> ran{0};
+  TaskGraph graph;
+  for (int r = 0; r < 8; ++r) {
+    TaskSpec t;
+    t.key = key(1, r);
+    t.rank = r;
+    t.body = [&ran](TaskContext&) { ++ran; };
+    graph.add_task(t);
+  }
+  graph.seal(8);
+  EXPECT_EQ(graph.sealed_nranks(), 8);
+  Runtime small(Config{4, 1, true, false});
+  EXPECT_THROW(small.run(graph), std::invalid_argument);
+  EXPECT_EQ(ran.load(), 0);
+
+  // Fewer sealed ranks than the runtime has is fine: every rank exists.
+  TaskGraph narrow;
+  TaskSpec t;
+  t.key = key(2);
+  t.rank = 1;
+  t.body = [&ran](TaskContext&) { ++ran; };
+  narrow.add_task(t);
+  narrow.seal(2);
+  EXPECT_EQ(small.run(narrow).tasks_executed, 1u);
+  EXPECT_EQ(ran.load(), 1);
+}
+
 TEST(Runtime, EmptyGraphCompletesImmediately) {
   TaskGraph graph;
   Runtime runtime(Config{2, 2, true, false});
